@@ -7,6 +7,7 @@ request by path and status, so a run can be reconciled against ``GET /stats``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import select
@@ -17,7 +18,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,21 +187,24 @@ class OpResult:
 
 def closed_loop(
     address: tuple[str, int],
-    operations: Sequence[Sequence[Request]],
+    operation: Callable[[int], Sequence[Request]],
     clients: int,
     seconds: float,
     tally: Tally,
 ) -> tuple[list[OpResult], float]:
-    """Drive ``operations`` in order from ``clients`` closed-loop threads.
+    """Drive operations ``0, 1, 2, ...`` from ``clients`` closed-loop threads.
 
-    Each client takes the next operation only after its previous one has
-    completed; none is started after ``seconds``.  An operation's requests
-    run back to back.  Returns the results (in stream order) and the phase's
-    wall seconds, from start to the last completion.
+    ``operation(index)`` gives the requests of operation ``index``; the
+    source is endless, so the phase always lasts ``seconds``.  It is called
+    under a lock, in index order.  Each client takes the next operation only
+    after its previous one has completed; none is started after ``seconds``.
+    An operation's requests run back to back.  Returns the results (in
+    stream order) and the phase's wall seconds, from start to the last
+    completion.
     """
     results: list[OpResult] = []
     lock = threading.Lock()
-    cursor = iter(range(len(operations)))
+    cursor = itertools.count()
     started = time.perf_counter()
     deadline = started + seconds
 
@@ -209,12 +213,11 @@ def closed_loop(
             with lock:
                 if time.perf_counter() >= deadline:
                     return
-                index = next(cursor, None)
-            if index is None:
-                return
+                index = next(cursor)
+                requests = operation(index)
             op_started = time.perf_counter()
             timings, statuses, bodies = [], [], []
-            for request in operations[index]:
+            for request in requests:
                 request_started = time.perf_counter()
                 status, body = exchange(address, request, tally)
                 timings.append(time.perf_counter() - request_started)

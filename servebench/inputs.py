@@ -8,7 +8,9 @@ the workload seed, so one seed always gives the same request bodies.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import Generic, TypeVar
 
 import numpy as np
 
@@ -36,6 +38,37 @@ DELTA = 0.1
 
 #: Rankings submitted (and retracted) per streaming window slide.
 STREAM_SLIDE = 10
+
+#: Zipf draws made per extension of the replay's query stream.
+ZIPF_CHUNK = 256
+
+T = TypeVar("T")
+
+
+class Endless(Generic[T]):
+    """An unbounded sequence, produced in order from a seeded generator.
+
+    Item ``i`` is the same however far the sequence has been read, so the
+    timed phase can run for as long as ``--seconds`` asks whatever the
+    server's throughput.  :meth:`extend_to` makes items ahead of time, so
+    the timed phase only reads a list while throughput stays near the
+    expected rate.  Not thread-safe: callers serialise access.
+    """
+
+    def __init__(self, batches: Iterator[list[T]]) -> None:
+        """Read items from ``batches``, a never-ending iterator of item lists."""
+        self._batches = batches
+        self._items: list[T] = []
+
+    def extend_to(self, count: int) -> None:
+        """Make sure the first ``count`` items exist."""
+        while len(self._items) < count:
+            self._items.extend(next(self._batches))
+
+    def __getitem__(self, index: int) -> T:
+        """Item ``index`` (made on demand)."""
+        self.extend_to(index + 1)
+        return self._items[index]
 
 
 def _universe(n_candidates: int) -> tuple[Ranking, str]:
@@ -72,7 +105,7 @@ def zipf_queries(seed: int) -> list[bytes]:
     return queries
 
 
-def zipf_stream(seed: int, n_queries: int, length: int) -> list[int]:
+def zipf_stream(seed: int, n_queries: int) -> Endless[int]:
     """Query indices drawn under Zipf popularity; the seed drives the draws.
 
     Popularity ranks go to queries through one fixed permutation, not a
@@ -85,11 +118,17 @@ def zipf_stream(seed: int, n_queries: int, length: int) -> list[int]:
     popularity = np.arange(1, n_queries + 1, dtype=float) ** -ZIPF_EXPONENT
     popularity /= popularity.sum()
     rng = np.random.default_rng([seed, 2])
-    return [int(index) for index in rank_to_query[rng.choice(n_queries, size=length, p=popularity)]]
+
+    def batches() -> Iterator[list[int]]:
+        while True:
+            draws = rng.choice(n_queries, size=ZIPF_CHUNK, p=popularity)
+            yield [int(index) for index in rank_to_query[draws]]
+
+    return Endless(batches())
 
 
-def cold_queries(seed: int, count: int) -> list[bytes]:
-    """``/aggregate`` bodies of ``count`` distinct n=200/m=500 Mallows profiles.
+def cold_queries(seed: int) -> Endless[bytes]:
+    """``/aggregate`` bodies of distinct n=200/m=500 Mallows profiles, without end.
 
     Each profile is 500 rankings drawn without replacement from a seeded pool
     of Mallows draws, so every profile is itself a Mallows sample and no two
@@ -98,17 +137,19 @@ def cold_queries(seed: int, count: int) -> list[bytes]:
     rng = np.random.default_rng([seed, 3])
     modal, table_json = _universe(N_CANDIDATES)
     fragments = _order_fragments(modal, THETA, 2 * N_RANKINGS, rng)
-    seen: set[tuple[int, ...]] = set()
-    queries = []
-    while len(queries) < count:
-        chosen = rng.choice(len(fragments), size=N_RANKINGS, replace=False)
-        signature = tuple(sorted(int(index) for index in chosen))
-        if signature in seen:
-            continue
-        seen.add(signature)
-        method = METHODS[len(queries) % len(METHODS)]
-        queries.append(_aggregate_body([fragments[i] for i in chosen], table_json, method, DELTA))
-    return queries
+
+    def batches() -> Iterator[list[bytes]]:
+        seen: set[tuple[int, ...]] = set()
+        while True:
+            chosen = rng.choice(len(fragments), size=N_RANKINGS, replace=False)
+            signature = tuple(sorted(int(index) for index in chosen))
+            if signature in seen:
+                continue
+            seen.add(signature)
+            method = METHODS[(len(seen) - 1) % len(METHODS)]
+            yield [_aggregate_body([fragments[i] for i in chosen], table_json, method, DELTA)]
+
+    return Endless(batches())
 
 
 @dataclass(frozen=True)
@@ -116,30 +157,33 @@ class StreamInputs:
     """The initial ``/update`` body and one ``/update`` body per window slide."""
 
     initial: bytes
-    slides: list[bytes]
+    slides: Endless[bytes]
 
 
-def stream_inputs(seed: int, rounds: int) -> StreamInputs:
-    """An n=200/m=500 fair-borda profile, then ``rounds`` sliding-window updates.
+def stream_inputs(seed: int) -> StreamInputs:
+    """An n=200/m=500 fair-borda profile, then sliding-window updates without end.
 
-    Slide ``r`` adds the next :data:`STREAM_SLIDE` fresh Mallows draws and
-    retracts the :data:`STREAM_SLIDE` oldest rankings still in the window.
+    Slide ``r`` adds :data:`STREAM_SLIDE` fresh Mallows draws and retracts
+    the :data:`STREAM_SLIDE` oldest rankings still in the window.
     """
     rng = np.random.default_rng([seed, 4])
     modal, table_json = _universe(N_CANDIDATES)
-    fragments = _order_fragments(modal, THETA, N_RANKINGS + STREAM_SLIDE * rounds, rng)
+    fragments = _order_fragments(modal, THETA, N_RANKINGS, rng)
     initial = (
         f'{{"candidates": {table_json}, "method": "fair-borda", "delta": {DELTA!r}, '
-        '"add": [' + ", ".join(fragments[:N_RANKINGS]) + "]}"
+        '"add": [' + ", ".join(fragments) + "]}"
     ).encode()
-    slides = []
-    for index in range(rounds):
-        old = index * STREAM_SLIDE
-        new = N_RANKINGS + old
-        slides.append(
-            (
-                '{"add": [' + ", ".join(fragments[new : new + STREAM_SLIDE]) + '], '
-                '"remove": [' + ", ".join(fragments[old : old + STREAM_SLIDE]) + "]}"
-            ).encode()
-        )
-    return StreamInputs(initial, slides)
+
+    def batches() -> Iterator[list[bytes]]:
+        window = list(fragments)
+        while True:
+            fresh = _order_fragments(modal, THETA, STREAM_SLIDE, rng)
+            old, window = window[:STREAM_SLIDE], window[STREAM_SLIDE:] + fresh
+            yield [
+                (
+                    '{"add": [' + ", ".join(fresh) + '], '
+                    '"remove": [' + ", ".join(old) + "]}"
+                ).encode()
+            ]
+
+    return StreamInputs(initial, Endless(batches()))

@@ -58,9 +58,13 @@ from servebench.metrics import (  # noqa: E402 - needs the root on sys.path
 )
 
 #: Server spawns per run; ``setup_s`` is their median.
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 7
 #: Requests (rounds, for streaming) the traced replay runs per workload.
 TRACED_REQUESTS = {"zipf-replay": 120, "cold-misses": 12, "stream-churn": 20}
+#: Operations made before the timed phase, per second of it: several times
+#: today's rate.  The sources are endless; a faster server reads past this
+#: and the rest is made on demand.
+PREPARED_PER_SECOND = {"zipf-replay": 200, "cold-misses": 12, "stream-churn": 30}
 #: Attempts at a reconciled ``/stats`` snapshot: the server counts a request
 #: only after its connection closes, which may trail the client's EOF.
 STATS_ATTEMPTS = 25
@@ -139,12 +143,13 @@ def serve(
     seconds: float,
     server_args: Callable[[Path], list[str]],
     untimed: Sequence,
-    operations: Sequence[Sequence],
+    operation: Callable[[int], Sequence],
     clients: int,
     reconciler: Callable,
 ) -> Served:
     """Measure set-up, run the timed phase, and reconcile the counters.
 
+    ``operation(index)`` gives the requests of timed operation ``index``.
     ``reconciler(results, stats, sent_paths, statuses)`` returns a
     :class:`~servebench.metrics.Reconciliation`; ``/stats`` is re-read until
     it reconciles or the attempts run out.
@@ -163,7 +168,7 @@ def serve(
             status, body = exchange(server.address, request, tally)
             if status != 200:
                 raise RuntimeError(f"untimed {request.path} answered {status}: {body[:200]!r}")
-        results, elapsed = closed_loop(server.address, operations, clients, seconds, tally)
+        results, elapsed = closed_loop(server.address, operation, clients, seconds, tally)
         for _ in range(STATS_ATTEMPTS):
             sent_paths, statuses = dict(tally.paths), dict(tally.statuses)
             stats = server.stats()
@@ -242,16 +247,20 @@ def run_aggregate_workload(
     work: Path,
     seconds: float,
     queries: Sequence[bytes],
-    stream: Sequence[int],
+    query_of: Callable[[int], int],
     clients: int,
     server_args: Callable[[Path], list[str]],
     traced_cache: Callable[[], object] | None,
     traced_requests: int,
 ) -> RunResult:
-    """Run either of the two ``POST /aggregate`` workloads."""
+    """Run either of the two ``POST /aggregate`` workloads.
+
+    Timed operation ``i`` posts ``queries[query_of(i)]``.
+    """
     from servebench.client import post
 
-    operations = [[post("/aggregate", queries[index])] for index in stream]
+    def operation(index: int) -> list:
+        return [post("/aggregate", queries[query_of(index)])]
 
     def reconciler(results, stats, sent_paths, statuses):
         answered = [
@@ -266,14 +275,14 @@ def run_aggregate_workload(
             distinct_keys=len({body["key"] for body in answered}),
         )
 
-    served = serve(work, seconds, server_args, [], operations, clients, reconciler)
+    served = serve(work, seconds, server_args, [], operation, clients, reconciler)
     oracle = AggregateOracle(queries)
     outcomes, hit_seconds = [], []
     for result in served.results:
         body = _parse(result.bodies[0]) if result.statuses == [200] else None
         matches = False
         if body is not None:
-            payload, digest = oracle(stream[result.index])
+            payload, digest = oracle(query_of(result.index))
             matches = body.get("result") == payload and body.get("key") == digest
             if body.get("cached"):
                 hit_seconds.append(result.ended - result.started)
@@ -297,7 +306,8 @@ def run_aggregate_workload(
         tracer = Tracer()
         cache = traced_cache()
         traced_hits = []
-        for position, index in enumerate(stream[: min(traced_requests, len(served.results))]):
+        for position in range(min(traced_requests, len(served.results))):
+            index = query_of(position)
             response = traced_aggregate(tracer, cache, queries[index])
             payload, digest = oracle(index)
             if response["result"] != payload or response["key"] != digest:
@@ -320,12 +330,13 @@ def run_zipf(work: Path, seed: int, seconds: float, trace: bool) -> RunResult:
     from servebench import inputs
 
     queries = inputs.zipf_queries(seed)
-    stream = inputs.zipf_stream(seed, len(queries), int(seconds * 200) + 100)
+    stream = inputs.zipf_stream(seed, len(queries))
+    stream.extend_to(int(seconds * PREPARED_PER_SECOND["zipf-replay"]))
     return run_aggregate_workload(
         work,
         seconds,
         queries,
-        stream,
+        stream.__getitem__,
         clients=2,
         server_args=lambda directory: ["--memory-capacity", "8", "--cache-dir", str(directory)],
         traced_cache=(
@@ -343,12 +354,13 @@ def run_cold(work: Path, seed: int, seconds: float, trace: bool) -> RunResult:
 
     from servebench import inputs
 
-    queries = inputs.cold_queries(seed, int(seconds * 12) + 10)
+    queries = inputs.cold_queries(seed)
+    queries.extend_to(int(seconds * PREPARED_PER_SECOND["cold-misses"]))
     return run_aggregate_workload(
         work,
         seconds,
         queries,
-        list(range(len(queries))),
+        lambda index: index,
         clients=1,
         server_args=lambda directory: [],
         traced_cache=ResultCache if trace else None,
@@ -373,8 +385,12 @@ def run_stream(work: Path, seed: int, seconds: float, trace: bool) -> RunResult:
     from servebench import inputs
     from servebench.client import get, post
 
-    stream = inputs.stream_inputs(seed, int(seconds * 30) + 10)
-    operations = [[post("/update", slide), get("/consensus")] for slide in stream.slides]
+    stream = inputs.stream_inputs(seed)
+    stream.slides.extend_to(int(seconds * PREPARED_PER_SECOND["stream-churn"]))
+    read = get("/consensus")
+
+    def operation(index: int) -> list:
+        return [post("/update", stream.slides[index]), read]
 
     def reconciler(results, stats, sent_paths, statuses):
         reads = [_parse(r.bodies[1]) for r in results if r.statuses == [200, 200]]
@@ -395,7 +411,7 @@ def run_stream(work: Path, seed: int, seconds: float, trace: bool) -> RunResult:
         seconds,
         lambda directory: [],
         [post("/update", stream.initial)],
-        operations,
+        operation,
         1,
         reconciler,
     )

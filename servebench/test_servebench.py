@@ -29,6 +29,13 @@ def test_tail_moves_smoothly_with_the_sample_count():
     assert value == 47.0 and percentile == pytest.approx(100.0 * 47 / 57)
 
 
+def test_tail_stops_at_p95_on_large_samples():
+    values = [float(v) for v in range(1, 1001)]
+    assert tail(values) == (950.0, 95.0)
+    value, percentile = tail(values[:200])
+    assert value == 190.0 and percentile == pytest.approx(95.0)
+
+
 def test_tail_of_small_samples_is_the_maximum():
     assert tail([3.0, 1.0, 2.0]) == (3.0, 100.0)
     assert tail([]) == (0.0, 0.0)
@@ -102,6 +109,19 @@ def test_reconciliation_counts_earlier_stats_polls():
 )
 def test_reconciliation_flags_disagreement(stats, overrides):
     assert not _reconcile(stats, **overrides).ok
+
+
+def test_endless_sources_do_not_depend_on_how_far_they_were_made():
+    from servebench.inputs import ZIPF_CHUNK, Endless, zipf_stream
+
+    ahead, lazy = zipf_stream(5, 18), zipf_stream(5, 18)
+    ahead.extend_to(3 * ZIPF_CHUNK)
+    far = 5 * ZIPF_CHUNK + 7
+    assert [lazy[index] for index in range(far)] == [ahead[index] for index in range(far)]
+    assert all(0 <= lazy[index] < 18 for index in range(far))
+
+    counted = Endless(iter([[0, 1], [2], [3, 4, 5]]))
+    assert [counted[index] for index in (4, 0, 5)] == [4, 0, 5]
 
 
 def test_coverage_is_the_median_per_request_share():
