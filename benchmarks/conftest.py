@@ -2,12 +2,12 @@
 
 Every benchmark runs one experiment module (one paper table or figure) at the
 ``ci`` scale through ``pytest-benchmark`` and writes the regenerated
-rows/series to ``benchmarks/results/`` as both JSON and readable text, so the
-numbers behind each figure can be inspected after a run.
+rows/series to ``benchmarks/results/`` (or to ``MANI_RANK_PERF_RESULTS_DIR``
+when set) as both JSON and readable text, so the numbers behind each figure
+can be inspected after a run.
 
 Set the environment variable ``MANI_RANK_BENCH_SCALE=paper`` to run the
-full-size configurations instead (slow without a commercial ILP solver; see
-DESIGN.md and EXPERIMENTS.md).
+full-size configurations instead (slow without a commercial ILP solver).
 """
 
 from __future__ import annotations
@@ -56,12 +56,17 @@ def perf_output_directory() -> Path | None:
 
 
 @pytest.fixture
-def save_result(results_directory):
-    """Persist an experiment result as JSON + text next to the benchmarks."""
+def save_result(results_directory, perf_output_directory):
+    """Persist an experiment result as JSON + text next to the benchmarks.
+
+    ``MANI_RANK_PERF_RESULTS_DIR`` redirects it like the perf payloads, so a
+    redirected run never rewrites the committed ``ablation-search`` files.
+    """
+    directory = perf_output_directory or results_directory
 
     def _save(result: ExperimentResult) -> None:
-        result.save(results_directory / f"{result.experiment}.json")
-        text_path = results_directory / f"{result.experiment}.txt"
+        result.save(directory / f"{result.experiment}.json")
+        text_path = directory / f"{result.experiment}.txt"
         text_path.write_text(result.to_text() + "\n")
 
     return _save

@@ -3,8 +3,8 @@
 Replays the ``perf_cache`` Zipf trace (same query universe, same seed, same
 popularity permutation) through one memory-only
 :class:`~repro.cache.store.ResultCache` per eviction policy (``lru``,
-``cost-aware``, ``clock``), with the memory tier sized *below* the distinct
-working set so every policy is forced to choose victims.  The caches are
+``cost-aware``), with the memory tier sized *below* the distinct working set
+so every policy is forced to choose victims.  The caches are
 memory-only on purpose: with a disk tier attached every distinct query is
 computed at most once regardless of policy (evicted entries stay servable
 from disk), which would flatten the recompute-seconds signal the comparison
@@ -21,8 +21,8 @@ flake the cost-aware-vs-LRU gate on shared CI runners.
 
 Hard assertions guarding the tentpole:
 
-* every served payload is **bit-identical** to the cold computation, for all
-  three policies;
+* every served payload is **bit-identical** to the cold computation, for
+  both policies;
 * each policy's ``saved + recomputed`` recompute-seconds reconcile exactly
   with the request stream (no work is silently lost or double-counted);
 * the cost-aware policy's total recompute-seconds-saved is >= the retained
@@ -51,7 +51,7 @@ from repro.datagen.fair_modal import calibrated_modal_ranking
 from repro.datagen.mallows import sample_mallows
 from repro.experiments.reporting import render_table
 
-_POLICIES = ("lru", "cost-aware", "clock")
+_POLICIES = ("lru", "cost-aware")
 
 #: Mirrors ``test_perf_cache``'s trace recipe so the two benchmarks measure
 #: the same workload; only the cache construction differs.

@@ -9,7 +9,9 @@ pairwise kernels were built for:
   evaluator (:func:`make_mr_fair_reference`);
 * the three shared kernels at paper scale: ``favored_mixed_pairs_by_group``
   (vs its naive reference), ``RankingSet.precedence_matrix`` (cold cache),
-  and ``kendall_tau_to_set``.
+  and ``kendall_tau_to_set``;
+* ``make_mr_fair_sharded`` repairing a batch of Mallows rankings (32 at
+  n=200 at full scale) serially vs over a two-process pool.
 
 Results are written to ``benchmarks/results/perf_hot_paths.{json,txt}`` so
 every future PR inherits a perf trajectory to compare against.  Set
@@ -17,19 +19,24 @@ every future PR inherits a perf trajectory to compare against.  Set
 perf smoke job; smoke runs assert but do not persist results, so they never
 overwrite the committed full-scale baseline.
 
-Two hard assertions guard the tentpole:
+Hard assertions:
 
 * the incremental engine returns the *identical* ranking and ``n_swaps`` as
   the from-scratch evaluator;
 * at the acceptance configuration (the largest n both are timed at) the
   incremental engine is >= 10x faster (>= 4x at smoke scale, where fixed
-  per-iteration overheads weigh more).
+  per-iteration overheads weigh more);
+* the sharded batch is bit-identical to the serial loop and, at full scale on
+  a machine with at least two CPUs, >= 1.3x faster (median of the per-pair
+  ratios over back-to-back serial/sharded timings; the persisted
+  ``serial_s``/``sharded_s`` are the medians of each side).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import timeit
 
 import numpy as np
@@ -47,6 +54,7 @@ from repro.datagen.fair_modal import calibrated_modal_ranking
 from repro.datagen.mallows import sample_mallows
 from repro.experiments.reporting import render_table
 from repro.fair.make_mr_fair import make_mr_fair, make_mr_fair_reference
+from repro.fair.sharding import make_mr_fair_sharded
 
 #: Modal-ranking fairness targets matching the Figure 7 scalability dataset.
 _MODAL_TARGETS = {"Race": 0.31, "Gender": 0.44}
@@ -60,6 +68,10 @@ _SCALE_PARAMETERS = {
         "kernel_n": 500,
         "kernel_m": 100,
         "min_speedup": 10.0,
+        "sharded_n": 200,
+        "sharded_rankings": 32,
+        "sharded_pairs": 9,
+        "min_sharded_speedup": 1.3,
     },
     "smoke": {
         "candidate_counts": (50, 100),
@@ -69,6 +81,10 @@ _SCALE_PARAMETERS = {
         "kernel_n": 120,
         "kernel_m": 30,
         "min_speedup": 4.0,
+        "sharded_n": 100,
+        "sharded_rankings": 8,
+        "sharded_pairs": 3,
+        "min_sharded_speedup": None,
     },
 }
 
@@ -191,6 +207,53 @@ def test_perf_hot_paths(results_directory, perf_output_directory):
     )
 
     # ------------------------------------------------------------------
+    # make_mr_fair_sharded: serial loop vs a two-process pool
+    # ------------------------------------------------------------------
+    sharded_n = parameters["sharded_n"]
+    n_shards = 2
+    table = scalability_table(sharded_n, rng=7)
+    modal = calibrated_modal_ranking(table, _MODAL_TARGETS, rng=7)
+    batch = list(sample_mallows(modal, 0.6, parameters["sharded_rankings"], rng=7))
+
+    def run_serial():
+        return [make_mr_fair(ranking, table, delta) for ranking in batch]
+
+    def run_sharded():
+        return make_mr_fair_sharded(batch, table, delta, n_shards=n_shards)
+
+    assert [(r.ranking, r.n_swaps) for r in run_sharded()] == [
+        (r.ranking, r.n_swaps) for r in run_serial()
+    ]
+    # Time the two paths in back-to-back pairs and gate the median of the
+    # per-pair ratios.  On a shared machine the speed of one core drifts by
+    # up to 2x over seconds; both halves of a pair see the same drift, while
+    # a ratio of separately taken minima pits a lucky serial run against
+    # whatever the pool got and swings well below the typical ratio.
+    min_sharded_speedup = parameters["min_sharded_speedup"]
+    gated = min_sharded_speedup is not None and (os.cpu_count() or 1) >= 2
+    pairs = [
+        (_best_of(run_serial, repeat=1), _best_of(run_sharded, repeat=1))
+        for _ in range(parameters["sharded_pairs"])
+    ]
+    sharded_rows = [
+        {
+            "n_candidates": sharded_n,
+            "n_rankings": len(batch),
+            "delta": delta,
+            "n_shards": n_shards,
+            "serial_s": statistics.median(serial for serial, _ in pairs),
+            "sharded_s": statistics.median(sharded for _, sharded in pairs),
+            "speedup": statistics.median(serial / sharded for serial, sharded in pairs),
+        }
+    ]
+    if gated:
+        assert sharded_rows[0]["speedup"] >= min_sharded_speedup, (
+            f"make_mr_fair_sharded only {sharded_rows[0]['speedup']:.2f}x faster "
+            f"than the serial loop on {n_shards} shards "
+            f"(required {min_sharded_speedup}x)"
+        )
+
+    # ------------------------------------------------------------------
     # persist the trajectory — full scale only, so a smoke run (CI, quick
     # local checks) never overwrites the committed full-scale baseline;
     # MANI_RANK_PERF_RESULTS_DIR redirects persistence (any scale) to a
@@ -206,10 +269,11 @@ def test_perf_hot_paths(results_directory, perf_output_directory):
         "parameters": {
             key: value
             for key, value in parameters.items()
-            if key != "min_speedup"
+            if not key.startswith("min_")
         },
         "make_mr_fair": make_mr_fair_rows,
         "kernels": kernel_rows,
+        "make_mr_fair_sharded": sharded_rows,
     }
     (results_directory / "perf_hot_paths.json").write_text(
         json.dumps(payload, indent=2) + "\n"
@@ -220,6 +284,8 @@ def test_perf_hot_paths(results_directory, perf_output_directory):
             "make_mr_fair (incremental engine vs from-scratch reference)\n"
             + render_table(make_mr_fair_rows, digits=4),
             "shared kernels\n" + render_table(kernel_rows, digits=4),
+            "make_mr_fair_sharded (serial loop vs process pool)\n"
+            + render_table(sharded_rows, digits=4),
         ]
     )
     (results_directory / "perf_hot_paths.txt").write_text(text + "\n")

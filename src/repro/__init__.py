@@ -18,8 +18,6 @@ Attribute and Intersectional Group Fairness for Consensus Ranking*
 * :mod:`repro.io` — CSV/JSON persistence;
 * :mod:`repro.cache` — the content-addressed consensus cache and the
   ``mani-rank serve`` HTTP front-end;
-* :mod:`repro.kernels` — pluggable compute-kernel backends for the hot
-  inner loops (``numpy`` always, ``numba`` when importable);
 * :mod:`repro.api` — the stable high-level facade with the compatibility
   promise (see ``docs/api.md``).
 
@@ -41,6 +39,7 @@ Quickstart
 True
 """
 
+from repro import _deprecated
 from repro.aggregation import (
     BordaAggregator,
     CopelandAggregator,
@@ -85,12 +84,6 @@ from repro.cache import (
     CacheStats,
     ConsensusCacheService,
     ResultCache,
-)
-from repro.kernels import (
-    active_backend_name,
-    available_backends,
-    set_default_backend,
-    use_backend,
 )
 from repro.fairness import (
     FairnessTable,
@@ -156,11 +149,6 @@ __all__ = [
     "CacheStats",
     "ConsensusCacheService",
     "ResultCache",
-    # compute-kernel backends
-    "available_backends",
-    "active_backend_name",
-    "set_default_backend",
-    "use_backend",
     # exceptions
     "ReproError",
     "ValidationError",
@@ -170,35 +158,6 @@ __all__ = [
 ]
 
 
-# --- deprecated top-level aliases -------------------------------------------
-#
-# Kept importable through ``__getattr__`` with a once-per-name
-# DeprecationWarning; scheduled for removal two PRs after PR 10 (see
-# ``docs/api.md`` for the stability policy).
-_DEPRECATED_ALIASES = {
-    "cache_key": ("repro.cache", "cache_key"),
-    "compute_consensus_payload": ("repro.cache", "compute_consensus_payload"),
-}
-_warned_aliases: set = set()
-
-
-def __getattr__(name: str):
-    """Resolve deprecated top-level aliases with a one-time warning."""
-    target = _DEPRECATED_ALIASES.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attribute = target
-    if name not in _warned_aliases:
-        _warned_aliases.add(name)
-        import warnings
-
-        warnings.warn(
-            f"'repro.{name}' is deprecated and will be removed two PRs after "
-            f"PR 10; import it from '{module_name}' (or use the 'repro.api' "
-            "facade) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)
+# The removed compute-kernel registry names warn once and resolve to the
+# numpy-only stand-ins of repro._deprecated (see docs/api.md).
+__getattr__ = _deprecated.module_getattr(__name__)

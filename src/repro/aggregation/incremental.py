@@ -64,7 +64,6 @@ import numpy as np
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
 from repro.exceptions import AggregationError
-from repro.kernels import KernelBackend, resolve_backend
 
 __all__ = ["KemenyDeltaEngine"]
 
@@ -83,10 +82,6 @@ class KemenyDeltaEngine:
     weighted:
         Use the ranking-set weights when building the precedence matrix.
         Ignored when ``rankings`` is already a matrix.
-    backend:
-        Compute-kernel backend for the hot loops (:mod:`repro.kernels`):
-        ``None`` (the process default), a registered backend name, or a
-        :class:`~repro.kernels.KernelBackend` instance.
     """
 
     def __init__(
@@ -94,9 +89,7 @@ class KemenyDeltaEngine:
         rankings: RankingSet | np.ndarray,
         initial: Ranking,
         weighted: bool = False,
-        backend: KernelBackend | str | None = None,
     ) -> None:
-        self._kernels = resolve_backend(backend)
         if isinstance(rankings, RankingSet):
             precedence = rankings.precedence_matrix(weighted=weighted)
             margin = rankings.margin_matrix(weighted=weighted)
@@ -187,11 +180,6 @@ class KemenyDeltaEngine:
     def n_candidates(self) -> int:
         """Number of candidates in the ranking."""
         return self._n
-
-    @property
-    def kernel_backend(self) -> KernelBackend:
-        """The compute-kernel backend the hot loops run on."""
-        return self._kernels
 
     @property
     def objective(self) -> float:
@@ -361,9 +349,14 @@ class KemenyDeltaEngine:
         (:meth:`apply_move` always recomputes the applied delta).
         """
         position = self._positions()[candidate]
-        return self._kernels.move_deltas(
-            self._margin, candidate, self._order_array, position
-        )
+        gathered = self._margin[candidate, self._order_array]
+        prefix = np.empty(self._n + 1, dtype=float)
+        prefix[0] = 0.0
+        np.cumsum(gathered, out=prefix[1:])
+        deltas = np.empty(self._n, dtype=float)
+        deltas[: position + 1] = prefix[position] - prefix[: position + 1]
+        deltas[position + 1 :] = prefix[position + 1] - prefix[position + 2 :]
+        return deltas
 
     def best_move(self, candidate: int) -> tuple[float, int]:
         """Best-improvement insertion target for ``candidate``.
@@ -397,26 +390,59 @@ class KemenyDeltaEngine:
         * the scan resumes after the run at the next marked pair — pairs the
           run skipped were unmarked originals, on which the reference scan
           would not have swapped either.
-
-        The carry-run loop itself lives on the configured kernel backend
-        (:meth:`repro.kernels.KernelBackend.sweep_adjacent`); this method
-        owns the mask cache and the engine bookkeeping around it.
         """
         if self._n < 2:
             return False
         mask = self._sweep_mask
+        order_array = self._order_array
+        margin = self._margin
         if mask is None:
-            mask = self._kernels.build_sweep_mask(self._order_array, self._margin)
+            gathered = margin[order_array[:-1], order_array[1:]]
+            mask = gathered > 0.0
             self._sweep_mask = mask
+        p = int(mask.argmax())
+        if not mask[p]:
+            return False
+        n = self._n
         # Accumulating the pass's improvement costs one extra slice-sum per
         # run; skip it while the lazy objective has never been queried (it
         # would be recomputed from the final order anyway).
         track_objective = self._objective_cache is not None
-        swapped, improvement = self._kernels.sweep_adjacent(
-            self._order_array, self._margin, mask, track_objective
-        )
-        if not swapped:
-            return False
+        improvement = 0.0
+        while True:
+            carry = int(order_array[p])
+            tail = order_array[p + 1 :]
+            losses = margin[carry, tail]
+            stops = losses <= 0.0
+            stop_index = int(stops.argmax())
+            run_length = stop_index if stops[stop_index] else tail.shape[0]
+            # run_length >= 1: the pair at p was marked improving.
+            q = p + run_length
+            if track_objective:
+                improvement += float(losses[:run_length].sum())
+            order_array[p:q] = order_array[p + 1 : q + 1]
+            order_array[q] = carry
+            # Patch the mask.  Pairs p..q-2 are the old pairs p+1..q-1
+            # shifted left.  Pair q-1 is (old order[q], carry): the carry
+            # lost against old order[q], so the reverse margin is negative.
+            # Pair q is (carry, old order[q+1]): the carry won, so not
+            # improving.  Pair p-1 gained a new right-hand element and is
+            # recomputed (the scan already passed it; the patch is for the
+            # next pass).
+            mask[p : q - 1] = mask[p + 1 : q]
+            mask[q - 1] = False
+            if q < n - 1:
+                mask[q] = False
+            if p > 0:
+                mask[p - 1] = margin[order_array[p - 1], order_array[p]] > 0.0
+            # Resume the scan at the next marked pair after the run.
+            remainder = mask[q + 1 :]
+            if remainder.size == 0:
+                break
+            offset = int(remainder.argmax())
+            if not remainder[offset]:
+                break
+            p = q + 1 + offset
         self._order_dirty = True
         self._positions_dirty = True
         if track_objective:

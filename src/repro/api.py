@@ -5,8 +5,7 @@ The internal packages (:mod:`repro.core`, :mod:`repro.aggregation`,
 module is the one import surface with a compatibility promise.  It covers the
 five verbs a typical caller needs — load a preference profile, aggregate it
 into a consensus, repair a ranking to MANI-Rank fairness, evaluate fairness,
-and open a consensus cache — plus the compute-kernel backend registry
-(:mod:`repro.kernels`) for introspection and selection.
+and open a consensus cache.
 
 Stability policy
 ----------------
@@ -38,6 +37,7 @@ from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
+from repro import _deprecated
 from repro.cache.service import ConsensusCacheService, compute_consensus_payload
 from repro.cache.store import ResultCache
 from repro.core.candidates import CandidateTable
@@ -48,43 +48,19 @@ from repro.fair.sharding import make_mr_fair_sharded
 from repro.fairness.parity import ManiRankReport, evaluate_mani_rank
 from repro.fairness.thresholds import FairnessThresholds
 from repro.io.csv_io import read_candidate_table, read_ranking_set
-from repro.kernels import (
-    BACKEND_ENV_VAR,
-    KernelBackend,
-    active_backend,
-    active_backend_name,
-    available_backends,
-    create_backend,
-    describe_backends,
-    get_backend,
-    resolve_backend,
-    set_default_backend,
-    unavailable_backends,
-    use_backend,
-)
 
 __all__ = [
-    # the five facade verbs
     "load_profile",
     "aggregate",
     "repair",
     "evaluate_fairness",
     "open_cache",
     "Profile",
-    # kernel-backend registry (re-exported from repro.kernels)
-    "KernelBackend",
-    "BACKEND_ENV_VAR",
-    "available_backends",
-    "unavailable_backends",
-    "create_backend",
-    "get_backend",
-    "resolve_backend",
-    "active_backend",
-    "active_backend_name",
-    "set_default_backend",
-    "use_backend",
-    "describe_backends",
 ]
+
+# The removed compute-kernel registry names warn once and resolve to the
+# numpy-only stand-ins of repro._deprecated (see docs/api.md).
+__getattr__ = _deprecated.module_getattr(__name__)
 
 
 class Profile(NamedTuple):
@@ -115,24 +91,18 @@ def aggregate(
     method: str = "fair-borda",
     strategy: str | None = None,
     delta: FairnessThresholds | float | Mapping[str, float] = 0.1,
-    backend: KernelBackend | str | None = None,
+    backend: str | None = None,
 ) -> dict:
     """Aggregate a profile into a fair consensus and return the JSON payload.
 
     A thin wrapper over
-    :func:`~repro.cache.service.compute_consensus_payload` that additionally
-    accepts a compute-kernel ``backend`` (name, instance, or ``None`` for the
-    process default); the backend is installed for the duration of the call
-    only.
+    :func:`~repro.cache.service.compute_consensus_payload`.  ``backend`` is
+    deprecated: numpy is the only compute-kernel implementation.
     """
-    if backend is None:
-        return compute_consensus_payload(
-            rankings, table, method=method, strategy=strategy, delta=delta
-        )
-    with use_backend(resolve_backend(backend).name):
-        return compute_consensus_payload(
-            rankings, table, method=method, strategy=strategy, delta=delta
-        )
+    _deprecated.backend_argument("repro.api.aggregate", backend)
+    return compute_consensus_payload(
+        rankings, table, method=method, strategy=strategy, delta=delta
+    )
 
 
 def repair(
@@ -141,7 +111,7 @@ def repair(
     delta: FairnessThresholds | float | Mapping[str, float],
     max_swaps: int | None = None,
     n_shards: int | None = None,
-    backend: KernelBackend | str | None = None,
+    backend: str | None = None,
 ) -> MakeMRFairResult | list[MakeMRFairResult]:
     """Repair ranking(s) to MANI-Rank fairness with Make-MR-Fair.
 
@@ -149,19 +119,14 @@ def repair(
     process (``n_shards`` is ignored), or a sequence of rankings to repair
     the batch — sharded across a process pool when ``n_shards`` is ``None``
     (one shard per CPU) or greater than one, bit-identical to the serial
-    loop either way.
+    loop either way.  ``backend`` is deprecated: numpy is the only
+    compute-kernel implementation.
     """
+    _deprecated.backend_argument("repro.api.repair", backend)
     if isinstance(rankings, Ranking):
-        return make_mr_fair(
-            rankings, table, delta, max_swaps=max_swaps, backend=backend
-        )
+        return make_mr_fair(rankings, table, delta, max_swaps=max_swaps)
     return make_mr_fair_sharded(
-        rankings,
-        table,
-        delta,
-        max_swaps=max_swaps,
-        n_shards=n_shards,
-        backend=backend,
+        rankings, table, delta, max_swaps=max_swaps, n_shards=n_shards
     )
 
 

@@ -14,8 +14,8 @@ layers:
     A policy-managed memory tier over an optional disk tier (JSON blobs
     written through :mod:`repro.io.serialization`) with hit/miss/eviction/
     expiry counters reported as a :class:`~repro.cache.store.CacheStats`
-    snapshot.  Replacement is pluggable (``lru``, ``cost-aware``, ``clock``)
-    and opt-in TTL expiry covers both tiers through an injectable clock.
+    snapshot.  Replacement is pluggable (``lru``, ``cost-aware``) and
+    opt-in TTL expiry covers both tiers through an injectable clock.
 
 :mod:`repro.cache.resilience`
     The failure-containment primitives the serving stack runs on: retry with
@@ -39,7 +39,6 @@ latency-percentile baselines under a Zipf query popularity distribution.
 from __future__ import annotations
 
 from repro.cache.eviction import (
-    ClockPolicy,
     CostAwarePolicy,
     EvictionPolicy,
     LRUPolicy,
@@ -70,7 +69,6 @@ __all__ = [
     "CacheKey",
     "CacheStats",
     "CircuitBreaker",
-    "ClockPolicy",
     "ConsensusCacheService",
     "ConsensusHTTPServer",
     "CostAwarePolicy",

@@ -9,7 +9,7 @@ recency-based policies compete under the same measured replay
 (``benchmarks/test_perf_eviction.py``), with the committed baseline deciding
 what ships.
 
-Three implementations:
+Two implementations:
 
 ``lru`` (:class:`LRUPolicy`)
     The retained reference — bit-identical to the pre-refactor
@@ -28,12 +28,6 @@ Three implementations:
     frequency ride in each stored payload's metadata envelope, so disk
     promotions and process restarts keep them.
 
-``clock`` (:class:`ClockPolicy`)
-    Compact-CAR-style second chance: a FIFO ring with one referenced bit per
-    entry.  A hit is a single O(1) bit set (no list reshuffling); the victim
-    scan clears bits until it finds an unreferenced entry.  The low-overhead
-    end of the spectrum from the Compact CAR literature.
-
 Policies only track *ordering metadata*; the payloads themselves stay in
 :class:`~repro.cache.store.ResultCache`, which calls ``on_admit``/``on_hit``/
 ``victim``/``remove`` under its own lock (policies need no locking of their
@@ -47,10 +41,9 @@ from __future__ import annotations
 import abc
 import heapq
 import itertools
-from collections import OrderedDict, deque
+from collections import OrderedDict
 
 __all__ = [
-    "ClockPolicy",
     "CostAwarePolicy",
     "EvictionPolicy",
     "LRUPolicy",
@@ -220,66 +213,10 @@ class CostAwarePolicy(EvictionPolicy):
         self._priority.pop(digest, None)
 
 
-class ClockPolicy(EvictionPolicy):
-    """Second-chance (CLOCK-family) replacement with O(1) hits.
-
-    Entries sit in a FIFO ring with one *referenced* bit each.  A hit sets
-    the bit — a single dictionary write, no ring reshuffling, the low-touch
-    property Compact CAR optimises for.  The victim scan pops the ring head:
-    a referenced entry is granted a second chance (bit cleared, moved to the
-    tail), the first unreferenced entry is evicted.  Removals are lazy — a
-    generation counter per digest lets stale ring slots be skipped, so
-    ``remove`` is O(1) too.
-    """
-
-    name = "clock"
-
-    def __init__(self) -> None:
-        """Start with an empty ring."""
-        self._ring: deque[tuple[str, int]] = deque()
-        #: digest -> [generation, referenced]; stale ring slots carry an
-        #: older generation and are skipped by the victim scan.
-        self._state: dict[str, list] = {}
-        self._generation = itertools.count()
-
-    def on_admit(self, digest: str, cost: float, frequency: int) -> None:
-        """Append a fresh entry; refreshing a resident one sets its bit."""
-        state = self._state.get(digest)
-        if state is not None:
-            state[1] = True
-            return
-        generation = next(self._generation)
-        self._state[digest] = [generation, False]
-        self._ring.append((digest, generation))
-
-    def on_hit(self, digest: str, cost: float, frequency: int) -> None:
-        """Set the referenced bit (one O(1) write)."""
-        self._state[digest][1] = True
-
-    def victim(self) -> str:
-        """Sweep the ring: second-chance referenced entries, evict the first cold one."""
-        while True:
-            digest, generation = self._ring.popleft()
-            state = self._state.get(digest)
-            if state is None or state[0] != generation:
-                continue  # removed or re-admitted since this slot was queued
-            if state[1]:
-                state[1] = False
-                self._ring.append((digest, generation))
-                continue
-            del self._state[digest]
-            return digest
-
-    def remove(self, digest: str) -> None:
-        """Forget the digest; its ring slot goes stale and is skipped later."""
-        self._state.pop(digest, None)
-
-
 #: Registry of constructible policies (``ResultCache(policy=<name>)``).
 _POLICIES: dict[str, type[EvictionPolicy]] = {
     LRUPolicy.name: LRUPolicy,
     CostAwarePolicy.name: CostAwarePolicy,
-    ClockPolicy.name: ClockPolicy,
 }
 
 

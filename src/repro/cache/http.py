@@ -87,7 +87,6 @@ from repro.io.serialization import (
     ranking_set_from_dict,
     to_jsonable,
 )
-from repro.kernels import describe_backends
 from repro.streaming.engine import StreamingConsensusEngine
 from repro.streaming.replay import StreamEvent, resolve_order
 from repro.streaming.service import StreamingConsensusService
@@ -595,18 +594,11 @@ class ConsensusHTTPServer:
                 "latency": self._latency.snapshot(),
             },
             "methods": describe_fair_methods(),
-            "kernel_backend": describe_backends(),
         }
 
     def _handle_healthz(self, body: dict) -> dict:
         """``GET /healthz``: liveness — 200 while the process can answer at all."""
-        from repro.kernels import active_backend
-
-        return {
-            "status": "ok",
-            "kernel_backend": active_backend().compile_status(),
-            **self.service.health(),
-        }
+        return {"status": "ok", **self.service.health()}
 
     def _handle_readyz(self, body: dict) -> tuple[int, dict]:
         """``GET /readyz``: readiness — 503 once draining has begun."""

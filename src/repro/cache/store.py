@@ -2,7 +2,7 @@
 
 The memory tier is capacity-bounded with a pluggable replacement policy
 (:mod:`repro.cache.eviction`: ``lru`` — the default, bit-identical to the
-pre-refactor ``OrderedDict`` implementation — ``cost-aware``, or ``clock``);
+pre-refactor ``OrderedDict`` implementation — or ``cost-aware``);
 the disk tier persists every stored payload as one JSON blob per digest,
 written atomically (temp file + :func:`os.replace`) so a crash mid-write
 never leaves a truncated blob under the final name.  Reads fall through
@@ -426,8 +426,8 @@ class ResultCache:
         substitute a scheduled-failure implementation).
     policy:
         Memory-tier eviction policy: a registered name (``"lru"`` — the
-        default and the pre-refactor reference behaviour — ``"cost-aware"``,
-        ``"clock"``) or an :class:`~repro.cache.eviction.EvictionPolicy`
+        default and the pre-refactor reference behaviour — or
+        ``"cost-aware"``) or an :class:`~repro.cache.eviction.EvictionPolicy`
         instance.
     ttl:
         Optional time-to-live in seconds.  A lookup whose entry has aged

@@ -8,7 +8,6 @@ Usage::
     mani-rank run figure5 --output out.json --quiet
     mani-rank aggregate rankings.csv candidates.csv --method fair-borda --delta 0.1
     mani-rank aggregate rankings.csv candidates.csv --strategy insertion
-    mani-rank aggregate rankings.csv candidates.csv --kernel-backend numpy
     mani-rank stream events.jsonl candidates.csv --verify
     mani-rank serve --port 8340 --cache-dir ~/.cache/mani-rank
 
@@ -33,7 +32,7 @@ materialized profile as a rankings CSV for cross-checking with ``aggregate``.
 consensus cache (:mod:`repro.cache`): ``/aggregate`` and ``/fairness`` answer
 repeated queries from a memory-over-disk cache, ``/stats`` reports the
 hit/miss/eviction counters.  ``--cache-policy`` selects the memory tier's
-replacement policy (``lru``, ``cost-aware``, ``clock``) and ``--cache-ttl``
+replacement policy (``lru``, ``cost-aware``) and ``--cache-ttl``
 expires entries older than the given seconds.  ``aggregate --cache-dir``
 reuses the same disk tier across CLI invocations (same policy/TTL flags).  The serving stack degrades instead of dying:
 ``--max-inflight``/``--queue-depth`` bound concurrent compute (excess is shed
@@ -131,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
             "tiers); default: never expire"
         ),
     )
-    _add_kernel_backend_flag(aggregate_parser)
 
     stream_parser = subparsers.add_parser(
         "stream",
@@ -169,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream_parser.add_argument(
         "--output", default=None, help="write the consensus payload to this JSON file"
     )
-    _add_kernel_backend_flag(stream_parser)
 
     serve_parser = subparsers.add_parser(
         "serve", help="serve cached consensus queries over HTTP (see docs/serving.md)"
@@ -195,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_policies(),
         help=(
             "memory-tier eviction policy: cost-aware keeps expensive-to-"
-            "recompute results longer, clock approximates LRU with O(1) "
-            "touches (default: lru)"
+            "recompute results longer (default: lru)"
         ),
     )
     serve_parser.add_argument(
@@ -247,45 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
             "they are cancelled (default: 5)"
         ),
     )
-    _add_kernel_backend_flag(serve_parser)
     return parser
-
-
-def _add_kernel_backend_flag(subparser: argparse.ArgumentParser) -> None:
-    """Add the shared ``--kernel-backend`` selection flag to a subcommand."""
-    from repro.kernels import BACKEND_ENV_VAR, available_backends
-
-    subparser.add_argument(
-        "--kernel-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "compute-kernel backend for the hot inner loops "
-            f"(available here: {', '.join(available_backends())}; also "
-            f"selectable via ${BACKEND_ENV_VAR}; default: numpy)"
-        ),
-    )
-
-
-def _install_kernel_backend(args: argparse.Namespace) -> int:
-    """Install the requested kernel backend process-wide; 0 on success.
-
-    Unknown or unavailable names print the registry's explanation (which
-    includes *why* a backend is unavailable, e.g. numba not importable)
-    instead of a bare traceback.
-    """
-    name = getattr(args, "kernel_backend", None)
-    if name is None:
-        return 0
-    from repro.exceptions import KernelError
-    from repro.kernels import set_default_backend
-
-    try:
-        set_default_backend(name)
-    except KernelError as error:
-        print(f"mani-rank: {error}", file=sys.stderr)
-        return 2
-    return 0
 
 
 def _command_list() -> int:
@@ -440,11 +398,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "run":
         return _command_run(args)
     if args.command == "aggregate":
-        return _install_kernel_backend(args) or _command_aggregate(args)
+        return _command_aggregate(args)
     if args.command == "stream":
-        return _install_kernel_backend(args) or _command_stream(args)
+        return _command_stream(args)
     if args.command == "serve":
-        return _install_kernel_backend(args) or _command_serve(args)
+        return _command_serve(args)
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover
 

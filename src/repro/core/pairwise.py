@@ -93,12 +93,9 @@ def favored_mixed_pairs(ranking: Ranking, members: Sequence[int]) -> int:
 
 
 def favored_mixed_pairs_by_group(
-    ranking: Ranking,
-    membership: np.ndarray,
-    n_groups: int,
-    backend: object | None = None,
+    ranking: Ranking, membership: np.ndarray, n_groups: int
 ) -> np.ndarray:
-    """Favored-pair counts for every group of a partition.
+    """Vectorised favored-pair counts for every group of a partition.
 
     Parameters
     ----------
@@ -110,24 +107,29 @@ def favored_mixed_pairs_by_group(
         :meth:`repro.core.candidates.CandidateTable.group_membership_array`).
     n_groups:
         Number of groups in the partition.
-    backend:
-        Compute-kernel backend (:mod:`repro.kernels`): ``None`` (the process
-        default), a registered backend name, or a backend instance.
 
     Returns
     -------
     numpy.ndarray
         ``counts[g]`` is the number of mixed pairs in which a member of group
-        ``g`` appears above a candidate of any other group.  The default
-        backend's kernel is fully vectorised: O(n * n_groups) numpy work with
-        no per-position Python loop, which is effectively O(n) for the
-        handful of groups the paper considers.
+        ``g`` appears above a candidate of any other group.  Fully vectorised:
+        O(n * n_groups) numpy work with no per-position Python loop, which is
+        effectively O(n) for the handful of groups the paper considers.
     """
-    from repro.kernels import resolve_backend
-
-    return resolve_backend(backend).favored_mixed_pairs_by_group(
-        ranking.order, membership, n_groups
-    )
+    ordered_groups = membership[ranking.order]
+    n = ordered_groups.shape[0]
+    counts = np.zeros(n_groups, dtype=np.int64)
+    for group in range(n_groups):
+        # Positions of the group's members, best to worst.  The k-th member
+        # (0-based) has size-1-k same-group candidates after it, so its
+        # favored (mixed) pairs are the remaining candidates below it.
+        member_positions = np.flatnonzero(ordered_groups == group)
+        size = member_positions.shape[0]
+        if size == 0:
+            continue
+        same_group_after = size - 1 - np.arange(size, dtype=np.int64)
+        counts[group] = int(((n - 1 - member_positions) - same_group_after).sum())
+    return counts
 
 
 def favored_mixed_pairs_by_group_naive(

@@ -272,25 +272,22 @@ class RankingSet:
         ``b`` in the consensus).  With ``weighted=True`` each ranking
         contributes its weight instead of 1.
 
-        Computed as a chunked accumulation over the ``m x n`` position matrix
-        through the configured kernel backend (:mod:`repro.kernels`; the
-        default backend is a vectorised broadcast — O(m n^2) numpy work with
-        bounded peak memory instead of a Python loop over the m rankings).
-        Both variants are cached because several aggregators request them for
-        the same (immutable) ranking set.
+        Computed as a chunked broadcast over the ``m x n`` position matrix —
+        O(m n^2) numpy work with bounded peak memory instead of a Python loop
+        over the m rankings.  Both variants are cached because several
+        aggregators request them for the same (immutable) ranking set.
         """
         if weighted and self._weighted_precedence_cache is not None:
             return self._weighted_precedence_cache
         if not weighted and self._precedence_cache is not None:
             return self._precedence_cache
-        from repro.kernels import resolve_backend
-
-        kernels = resolve_backend(None)
         weights = self._weights if weighted else self.unit_weights
         matrix = np.zeros((self._n, self._n), dtype=float)
         for start, block in self._position_chunks():
-            kernels.precedence_accumulate(
-                matrix, block, weights[start : start + block.shape[0]]
+            # precedes[r, a, b] <=> positions_r[b] < positions_r[a]
+            precedes = block[:, np.newaxis, :] < block[:, :, np.newaxis]
+            matrix += np.einsum(
+                "r,rab->ab", weights[start : start + block.shape[0]], precedes
             )
         np.fill_diagonal(matrix, 0.0)
         matrix.setflags(write=False)
@@ -391,16 +388,14 @@ class RankingSet:
         Chunked exactly like :meth:`precedence_matrix` so one call stays
         within :data:`_CHUNK_BYTE_BUDGET` bytes of boolean workspace.
         """
-        from repro.kernels import resolve_backend
-
-        kernels = resolve_backend(None)
         n = self._n
         delta = np.zeros((n, n), dtype=float)
         rows_per_chunk = max(1, self._CHUNK_BYTE_BUDGET // max(1, n * n))
         for start in range(0, position_rows.shape[0], rows_per_chunk):
             block = position_rows[start : start + rows_per_chunk]
-            kernels.precedence_accumulate(
-                delta, block, row_weights[start : start + block.shape[0]]
+            precedes = block[:, np.newaxis, :] < block[:, :, np.newaxis]
+            delta += np.einsum(
+                "r,rab->ab", row_weights[start : start + block.shape[0]], precedes
             )
         np.fill_diagonal(delta, 0.0)
         return delta

@@ -16,7 +16,6 @@ __all__ = [
     "AggregationError",
     "InfeasibleProblemError",
     "SolverError",
-    "KernelError",
     "FairnessError",
     "DataGenerationError",
     "ExperimentError",
@@ -58,10 +57,6 @@ class InfeasibleProblemError(AggregationError):
 
 class SolverError(AggregationError):
     """The underlying optimization backend failed or returned a bad status."""
-
-
-class KernelError(ReproError):
-    """A compute-kernel backend is unknown, unavailable, or misconfigured."""
 
 
 class FairnessError(ReproError):

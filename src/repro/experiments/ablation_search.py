@@ -85,7 +85,6 @@ def run(
     seed: int = 2022,
     strategies: Sequence[str] | None = None,
     n_workers: int | None = 1,
-    in_group_threads: int | None = 1,
 ) -> ExperimentResult:
     """Compare the local-search strategies' objective/time on a Mallows grid.
 
@@ -121,13 +120,7 @@ def run(
             "seed": seed,
         },
     )
-    result.extend(
-        grid.run(
-            evaluate_strategy_cell,
-            n_workers=n_workers,
-            in_group_threads=in_group_threads,
-        )
-    )
+    result.extend(grid.run(evaluate_strategy_cell, n_workers=n_workers))
     result.notes.append(
         "insertion is structurally never worse in objective than "
         "adjacent-swap on the same cell; combined carries no such guarantee "

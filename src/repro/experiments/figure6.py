@@ -50,7 +50,6 @@ def run(
     ranking_counts: Sequence[int] | None = None,
     method_labels: Sequence[str] | None = None,
     n_workers: int | None = 1,
-    in_group_threads: int | None = 1,
 ) -> ExperimentResult:
     """Reproduce Figure 6: runtime of every method vs the number of base rankings.
 
@@ -90,13 +89,7 @@ def run(
         },
     )
 
-    result.extend(
-        grid.run(
-            evaluate_labelled_cell,
-            n_workers=n_workers,
-            in_group_threads=in_group_threads,
-        )
-    )
+    result.extend(grid.run(evaluate_labelled_cell, n_workers=n_workers))
     if scale == "ci":
         result.notes.append(
             "ci scale shrinks both the candidate count and the ranking counts "

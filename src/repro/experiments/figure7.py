@@ -52,7 +52,6 @@ def run(
     deltas: Sequence[float] | None = None,
     method_labels: Sequence[str] | None = None,
     n_workers: int | None = 1,
-    in_group_threads: int | None = 1,
 ) -> ExperimentResult:
     """Reproduce Figure 7: runtime of every method vs candidate count, per Δ.
 
@@ -91,13 +90,7 @@ def run(
         seed=seed,
     )
 
-    result.extend(
-        grid.run(
-            evaluate_labelled_cell,
-            n_workers=n_workers,
-            in_group_threads=in_group_threads,
-        )
-    )
+    result.extend(grid.run(evaluate_labelled_cell, n_workers=n_workers))
     if scale == "ci":
         result.notes.append(
             "ci scale restricts the sweep to polynomial-time methods and "

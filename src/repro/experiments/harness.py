@@ -390,7 +390,6 @@ class ScenarioGrid:
         self,
         cell_function: Callable[[ScenarioData], Mapping[str, object]],
         n_workers: int | None = 1,
-        in_group_threads: int | None = 1,
     ) -> list[dict[str, object]]:
         """Run ``cell_function`` on every cell and collect per-cell records.
 
@@ -421,94 +420,40 @@ class ScenarioGrid:
             Requires ``cell_function`` (and a custom ``table_factory``, if
             any) to be picklable, e.g. a module-level function or a
             :func:`functools.partial` over one.
-        in_group_threads:
-            Opt-in thread-level parallelism *inside* one workload group, for
-            grids dominated by a single large workload (where the process
-            pool has nothing to split).  With ``in_group_threads > 1`` each
-            group's cells are materialised first (all cache-served from one
-            sample) and their callbacks then run on a thread pool,
-            order-stable.  The callbacks run on shared immutable data, so the
-            records are bit-identical to the serial sweep except for the
-            wall-clock timing fields.  Requires ``cell_function`` to be
-            thread-safe; actual speed-up needs the callback to release the
-            GIL (large numpy kernels, or the ``nogil`` numba kernel backend
-            of :mod:`repro.kernels`).  Composes with ``n_workers``: each
-            pool worker threads its own groups.
         """
         workers = 1 if n_workers is None else int(n_workers)
-        threads = 1 if in_group_threads is None else int(in_group_threads)
         if workers < 1:
             raise ExperimentError(f"n_workers must be >= 1, got {n_workers}")
-        if threads < 1:
-            raise ExperimentError(
-                f"in_group_threads must be >= 1, got {in_group_threads}"
-            )
         if workers == 1:
-            return self._run_serial(cell_function, threads)
-        return self._run_parallel(cell_function, workers, threads)
-
-    def _record_cell(
-        self,
-        cell: ScenarioCell,
-        data: ScenarioData,
-        cell_function: Callable[[ScenarioData], Mapping[str, object]],
-    ) -> dict[str, object]:
-        """Run one cell's callback on materialised data and build its record."""
-        start = time.perf_counter()
-        payload = cell_function(data)
-        cell_seconds = time.perf_counter() - start
-        record: dict[str, object] = {
-            "n_candidates": cell.n_candidates,
-            "n_rankings": cell.n_rankings,
-            "theta": cell.theta,
-        }
-        record.update(cell.extras)
-        record.update(payload)
-        record["datagen_s"] = data.datagen_seconds
-        record["cell_s"] = cell_seconds
-        return record
+            return self._run_serial(cell_function)
+        return self._run_parallel(cell_function, workers)
 
     def _run_serial(
         self,
         cell_function: Callable[[ScenarioData], Mapping[str, object]],
-        in_group_threads: int = 1,
     ) -> list[dict[str, object]]:
-        """In-process sweep (see :meth:`run` for the record contract).
-
-        Walks the workload groups in order; within a group the callbacks run
-        serially or, with ``in_group_threads > 1``, on a thread pool over the
-        group's shared materialised sample.
-        """
+        """In-process sweep (see :meth:`run` for the record contract)."""
         records: list[dict[str, object]] = []
         previous_key: tuple | None = None
-        for group in self.workload_groups():
-            key = self._rankings_key(group[0])
+        for cell in self.cells:
+            key = self._rankings_key(cell)
             if previous_key is not None and key != previous_key:
                 self._rankings.pop(previous_key, None)
             previous_key = key
-            # Materialise serially: the first cell builds the group's shared
-            # sample, the rest are cache hits (their datagen_s reports ~0
-            # exactly as in the fully serial sweep).
-            datas = [self.materialize(cell) for cell in group]
-            if in_group_threads > 1 and len(group) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(
-                    max_workers=min(in_group_threads, len(group))
-                ) as pool:
-                    records.extend(
-                        pool.map(
-                            self._record_cell,
-                            group,
-                            datas,
-                            [cell_function] * len(group),
-                        )
-                    )
-            else:
-                records.extend(
-                    self._record_cell(cell, data, cell_function)
-                    for cell, data in zip(group, datas)
-                )
+            data = self.materialize(cell)
+            start = time.perf_counter()
+            payload = cell_function(data)
+            cell_seconds = time.perf_counter() - start
+            record: dict[str, object] = {
+                "n_candidates": cell.n_candidates,
+                "n_rankings": cell.n_rankings,
+                "theta": cell.theta,
+            }
+            record.update(cell.extras)
+            record.update(payload)
+            record["datagen_s"] = data.datagen_seconds
+            record["cell_s"] = cell_seconds
+            records.append(record)
         return records
 
     def workload_groups(self) -> list[list[ScenarioCell]]:
@@ -533,7 +478,6 @@ class ScenarioGrid:
         self,
         cell_function: Callable[[ScenarioData], Mapping[str, object]],
         n_workers: int,
-        in_group_threads: int = 1,
     ) -> list[dict[str, object]]:
         """Distribute the workload groups over a process pool, order-stable."""
         from concurrent.futures import ProcessPoolExecutor
@@ -543,19 +487,13 @@ class ScenarioGrid:
             # A single workload group cannot be split (its cells share one
             # materialised sample), so a pool would add fork/pickle overhead
             # for zero parallelism — and skew any timing measurements.
-            return self._run_serial(cell_function, in_group_threads)
+            return self._run_serial(cell_function)
         records: list[dict[str, object]] = []
         with ProcessPoolExecutor(max_workers=min(n_workers, len(groups))) as pool:
             for group_records in pool.map(
                 _run_cell_group,
                 (
-                    (
-                        self.seed,
-                        self._table_factory,
-                        group,
-                        cell_function,
-                        in_group_threads,
-                    )
+                    (self.seed, self._table_factory, group, cell_function)
                     for group in groups
                 ),
             ):
@@ -569,7 +507,6 @@ def _run_cell_group(
         Callable[..., CandidateTable],
         list[ScenarioCell],
         Callable[[ScenarioData], Mapping[str, object]],
-        int,
     ],
 ) -> list[dict[str, object]]:
     """Worker entry point of the parallel sweep: one workload group, serially.
@@ -578,9 +515,9 @@ def _run_cell_group(
     worker rebuilds its shared kernels from the grid seed (deterministic, so
     only the timing fields can differ from a serial sweep).
     """
-    seed, table_factory, cells, cell_function, in_group_threads = task
+    seed, table_factory, cells, cell_function = task
     grid = ScenarioGrid(cells, seed=seed, table_factory=table_factory)
-    return grid._run_serial(cell_function, in_group_threads)
+    return grid._run_serial(cell_function)
 
 
 def evaluate_labelled_cell(data: ScenarioData) -> dict[str, object]:

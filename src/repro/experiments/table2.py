@@ -70,7 +70,6 @@ def run(
     seed: int = 2022,
     ranking_counts: Sequence[int] | None = None,
     n_workers: int | None = 1,
-    in_group_threads: int | None = 1,
 ) -> ExperimentResult:
     """Reproduce Table II: Fair-Borda execution time vs number of base rankings.
 
@@ -113,11 +112,7 @@ def run(
             "base_n_rankings": base_count,
         },
     )
-    records = grid.run(
-        partial(_measure_tier, delta=delta),
-        n_workers=n_workers,
-        in_group_threads=in_group_threads,
-    )
+    records = grid.run(partial(_measure_tier, delta=delta), n_workers=n_workers)
     for record in records:
         # The tier size rides in as the cell extra "count" and is reported as
         # the record's n_rankings; drop the duplicate column.

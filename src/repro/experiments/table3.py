@@ -60,7 +60,6 @@ def run(
     seed: int = 2022,
     candidate_counts: Sequence[int] | None = None,
     n_workers: int | None = 1,
-    in_group_threads: int | None = 1,
 ) -> ExperimentResult:
     """Reproduce Table III: Fair-Borda execution time vs candidate count (Δ = 0.33).
 
@@ -95,11 +94,7 @@ def run(
     )
 
     result.extend(
-        grid.run(
-            partial(_measure_cell, delta=delta),
-            n_workers=n_workers,
-            in_group_threads=in_group_threads,
-        )
+        grid.run(partial(_measure_cell, delta=delta), n_workers=n_workers)
     )
     result.notes.append(
         "Runtime excludes dataset generation (the paper also times only the "

@@ -192,7 +192,6 @@ def make_mr_fair(
     table: CandidateTable,
     delta: FairnessThresholds | float | Mapping[str, float],
     max_swaps: int | None = None,
-    backend: object | None = None,
 ) -> MakeMRFairResult:
     """Correct ``ranking`` until it satisfies MANI-Rank fairness at ``delta``.
 
@@ -212,10 +211,6 @@ def make_mr_fair(
         Fairness threshold(s); see :class:`FairnessThresholds`.
     max_swaps:
         Safety cap; defaults to ``ω(X) * (#fairness entities + 1)``.
-    backend:
-        Compute-kernel backend for the incremental engine
-        (:mod:`repro.kernels`): ``None`` (the process default), a registered
-        backend name, or a backend instance.
 
     Raises
     ------
@@ -235,7 +230,7 @@ def make_mr_fair(
     if max_swaps is None:
         max_swaps = total_pairs(table.n_candidates) * (len(entities) + 1)
 
-    state = FairnessState(ranking, table, backend=backend)
+    state = FairnessState(ranking, table)
     corrected_entities: list[str] = []
     tolerance = 1e-9
     n_swaps = 0

@@ -14,8 +14,7 @@ Bit-identity: every shard runs the exact serial
 correction reads another's output, so the result list is **bit-identical** to
 the serial loop for every shard count (the property tests in
 ``tests/fair/test_sharding.py`` replay randomized batches through both
-paths).  Workers resolve the kernel backend *by name*, so a batch sharded
-under an explicitly selected backend uses that backend in every worker.
+paths).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.core.ranking import Ranking
 from repro.exceptions import ValidationError
 from repro.fair.make_mr_fair import MakeMRFairResult, make_mr_fair
 from repro.fairness.thresholds import FairnessThresholds
-from repro.kernels import KernelBackend, resolve_backend
 
 __all__ = ["make_mr_fair_sharded", "default_shard_count"]
 
@@ -44,7 +42,6 @@ def make_mr_fair_sharded(
     delta: FairnessThresholds | float | Mapping[str, float],
     max_swaps: int | None = None,
     n_shards: int | None = None,
-    backend: KernelBackend | str | None = None,
 ) -> list[MakeMRFairResult]:
     """Run Make-MR-Fair on every ranking, sharded over a process pool.
 
@@ -64,10 +61,6 @@ def make_mr_fair_sharded(
         Number of worker shards.  ``None`` picks
         :func:`default_shard_count`; ``1`` (or a single-ranking batch) runs
         serially in-process with no pool overhead.
-    backend:
-        Compute-kernel backend (:mod:`repro.kernels`).  Resolved *in this
-        process* first (so unknown names fail fast) and re-resolved by name
-        inside each worker.
 
     Returns
     -------
@@ -83,14 +76,13 @@ def make_mr_fair_sharded(
             raise ValidationError(
                 f"item {index} is not a Ranking (got {type(ranking).__name__})"
             )
-    resolved = resolve_backend(backend)
     shards = default_shard_count(len(batch)) if n_shards is None else int(n_shards)
     if shards < 1:
         raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
     shards = min(shards, len(batch))
     if shards == 1:
         return [
-            make_mr_fair(ranking, table, delta, max_swaps=max_swaps, backend=resolved)
+            make_mr_fair(ranking, table, delta, max_swaps=max_swaps)
             for ranking in batch
         ]
 
@@ -101,7 +93,7 @@ def make_mr_fair_sharded(
     # by pool.map in submission (= input) order.
     bounds = [round(i * len(batch) / shards) for i in range(shards + 1)]
     tasks = [
-        (batch[bounds[i] : bounds[i + 1]], table, thresholds, max_swaps, resolved.name)
+        (batch[bounds[i] : bounds[i + 1]], table, thresholds, max_swaps)
         for i in range(shards)
         if bounds[i] < bounds[i + 1]
     ]
@@ -118,17 +110,14 @@ def _repair_shard(
         CandidateTable,
         FairnessThresholds,
         int | None,
-        str,
     ],
 ) -> list[MakeMRFairResult]:
     """Worker entry point: repair one contiguous shard serially.
 
     Module-level so it pickles under every multiprocessing start method.
     """
-    shard, table, thresholds, max_swaps, backend_name = task
+    shard, table, thresholds, max_swaps = task
     return [
-        make_mr_fair(
-            ranking, table, thresholds, max_swaps=max_swaps, backend=backend_name
-        )
+        make_mr_fair(ranking, table, thresholds, max_swaps=max_swaps)
         for ranking in shard
     ]

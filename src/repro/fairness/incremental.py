@@ -54,10 +54,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.candidates import CandidateTable
+from repro.core.pairwise import favored_mixed_pairs_by_group
 from repro.core.ranking import Ranking
 from repro.exceptions import FairnessError
 from repro.fairness.thresholds import FairnessThresholds
-from repro.kernels import KernelBackend, resolve_backend
 
 __all__ = ["FairnessState"]
 
@@ -73,7 +73,6 @@ class _EntityStats:
 
     __slots__ = (
         "name",
-        "kernels",
         "membership",
         "n_groups",
         "denominators",
@@ -86,35 +85,25 @@ class _EntityStats:
         "lowest_index",
     )
 
-    def __init__(
-        self,
-        name: str,
-        table: CandidateTable,
-        ranking: Ranking,
-        kernels: KernelBackend,
-    ) -> None:
+    def __init__(self, name: str, table: CandidateTable, ranking: Ranking) -> None:
         groups = table.groups(name)
         n = table.n_candidates
         self.name = name
-        self.kernels = kernels
         membership = table.group_membership_array(name)
-        # Backend-chosen representations: plain lists for the numpy backend
-        # (verbatim the pre-seam code), int64 arrays for compiled backends.
-        self.membership = kernels.membership_vector(membership)
+        self.membership: list[int] = membership.tolist()
         self.n_groups = len(groups)
-        denominators = [group.size * (n - group.size) for group in groups]
-        if any(denominator == 0 for denominator in denominators):
+        self.denominators: list[int] = [
+            group.size * (n - group.size) for group in groups
+        ]
+        if any(denominator == 0 for denominator in self.denominators):
             # Same failure mode (and message) as repro.fairness.fpr.fpr_vector.
             raise FairnessError(
                 f"attribute {name!r} has a group covering all candidates; "
                 "FPR is undefined"
             )
-        self.denominators = kernels.group_vector(denominators)
-        self.favored = kernels.group_vector(
-            kernels.favored_mixed_pairs_by_group(
-                ranking.order, membership, self.n_groups
-            )
-        )
+        self.favored: list[int] = favored_mixed_pairs_by_group(
+            ranking, membership, self.n_groups
+        ).tolist()
         self.group_members: tuple[np.ndarray, ...] = tuple(
             np.asarray(group.members, dtype=np.int64) for group in groups
         )
@@ -149,9 +138,26 @@ class _EntityStats:
         """ARP after moving ``gap`` favored pairs from ``group_u`` to ``group_v``."""
         if group_u == group_v:
             return self.parity
-        return self.kernels.parity_after_swap(
-            self.favored, self.denominators, group_u, group_v, gap
-        )
+        favored = self.favored
+        denominators = self.denominators
+        first_count = favored[0]
+        if group_u == 0:
+            first_count -= gap
+        elif group_v == 0:
+            first_count += gap
+        highest = lowest = first_count / denominators[0]
+        for group in range(1, self.n_groups):
+            count = favored[group]
+            if group == group_u:
+                count -= gap
+            elif group == group_v:
+                count += gap
+            score = count / denominators[group]
+            if score > highest:
+                highest = score
+            elif score < lowest:
+                lowest = score
+        return highest - lowest
 
     def apply(self, group_u: int, group_v: int, gap: int) -> None:
         """Commit a swap's favored-count delta and refresh the derived caches."""
@@ -171,9 +177,16 @@ class _EntityStats:
         window's per-group membership histogram with the candidate's own
         group holding minus the mixed-pair count.
         """
-        return self.kernels.move_histogram(
-            self.membership, window, candidate, falling, self.n_groups
-        )
+        membership = self.membership
+        counts = [0] * self.n_groups
+        for other in window:
+            counts[membership[other]] += 1
+        group = membership[candidate]
+        mixed = len(window) - counts[group]
+        counts[group] = -mixed
+        if not falling:
+            counts = [-count for count in counts]
+        return counts
 
     def parity_after_deltas(self, deltas: list[int]) -> float:
         """ARP after adding ``deltas`` to the per-group favored counts.
@@ -182,9 +195,16 @@ class _EntityStats:
         reductions as :meth:`_refresh`, so the value is bit-identical to
         rescoring the materialised moved ranking.
         """
-        return self.kernels.parity_after_deltas(
-            self.favored, deltas, self.denominators
-        )
+        favored = self.favored
+        denominators = self.denominators
+        highest = lowest = (favored[0] + deltas[0]) / denominators[0]
+        for group in range(1, self.n_groups):
+            score = (favored[group] + deltas[group]) / denominators[group]
+            if score > highest:
+                highest = score
+            elif score < lowest:
+                lowest = score
+        return highest - lowest
 
     def apply_deltas(self, deltas: list[int]) -> None:
         """Commit per-group favored-count deltas and refresh the caches."""
@@ -210,24 +230,14 @@ class FairnessState:
         Initial ranking (not modified; its arrays are copied).
     table:
         Candidate table defining the protected attributes and intersection.
-    backend:
-        Compute-kernel backend for the hot loops (:mod:`repro.kernels`):
-        ``None`` (the process default), a registered backend name, or a
-        :class:`~repro.kernels.KernelBackend` instance.
     """
 
-    def __init__(
-        self,
-        ranking: Ranking,
-        table: CandidateTable,
-        backend: KernelBackend | str | None = None,
-    ) -> None:
+    def __init__(self, ranking: Ranking, table: CandidateTable) -> None:
         if ranking.n_candidates != table.n_candidates:
             raise FairnessError(
                 "ranking and candidate table sizes differ: "
                 f"{ranking.n_candidates} vs {table.n_candidates}"
             )
-        self._kernels = resolve_backend(backend)
         self._table = table
         self._n = table.n_candidates
         self._order = ranking.order.astype(np.int64, copy=True)
@@ -239,8 +249,7 @@ class FairnessState:
         self._positions_list: list[int] = self._positions.tolist()
         self._entities = table.all_fairness_entities()
         self._stats = [
-            _EntityStats(entity, table, ranking, self._kernels)
-            for entity in self._entities
+            _EntityStats(entity, table, ranking) for entity in self._entities
         ]
         self._stats_by_name = {stats.name: stats for stats in self._stats}
 
@@ -256,11 +265,6 @@ class FairnessState:
     def n_candidates(self) -> int:
         """Number of candidates in the ranking."""
         return self._n
-
-    @property
-    def kernel_backend(self) -> KernelBackend:
-        """The compute-kernel backend the hot loops run on."""
-        return self._kernels
 
     @property
     def entities(self) -> tuple[str, ...]:

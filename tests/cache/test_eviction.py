@@ -1,4 +1,4 @@
-"""Eviction-policy suite: LRU bit-identity, cost-aware/clock semantics, TTL.
+"""Eviction-policy suite: LRU bit-identity, cost-aware semantics, TTL.
 
 The ``lru`` policy is pinned to a from-scratch simulation of the pre-refactor
 ``OrderedDict`` memory tier on randomized traces — same hit/miss sequence,
@@ -19,7 +19,6 @@ from collections import OrderedDict
 import pytest
 
 from repro.cache.eviction import (
-    ClockPolicy,
     CostAwarePolicy,
     LRUPolicy,
     available_policies,
@@ -44,12 +43,11 @@ def instant_retry(attempts: int = 3) -> RetryPolicy:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_available_policies(self):
-        assert available_policies() == ("lru", "cost-aware", "clock")
+        assert available_policies() == ("lru", "cost-aware")
 
     def test_create_policy_by_name_and_instance(self):
         assert isinstance(create_policy("lru"), LRUPolicy)
         assert isinstance(create_policy("cost-aware"), CostAwarePolicy)
-        assert isinstance(create_policy("clock"), ClockPolicy)
         instance = LRUPolicy()
         assert create_policy(instance) is instance
 
@@ -59,8 +57,14 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown eviction policy"):
             ResultCache(policy="nope")
 
+    def test_removed_clock_policy_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown eviction policy"):
+            create_policy("clock")
+        with pytest.raises(ValueError, match="unknown eviction policy"):
+            ResultCache(policy="clock")
+
     def test_stats_reports_the_policy_name(self):
-        assert ResultCache(policy="clock").stats().policy == "clock"
+        assert ResultCache(policy="cost-aware").stats().policy == "cost-aware"
         assert ResultCache().stats().policy == "lru"
 
 
@@ -150,7 +154,7 @@ class TestLRUPinnedToLegacyBehaviour:
 
 
 # ----------------------------------------------------------------------
-# cost-aware / clock semantics
+# cost-aware semantics
 # ----------------------------------------------------------------------
 class TestCostAwarePolicy:
     def test_expensive_entries_outlive_cheap_ones(self):
@@ -192,33 +196,6 @@ class TestCostAwarePolicy:
         assert reopened.get("a") == payload(1)
         assert reopened.stats().recompute_seconds_saved == pytest.approx(3.0)
         assert reopened.stats().memory_cost_seconds == pytest.approx(3.0)
-
-
-class TestClockPolicy:
-    def test_hit_entries_get_a_second_chance(self):
-        cache = ResultCache(memory_capacity=2, policy="clock")
-        cache.put("a", payload(1))
-        cache.put("b", payload(2))
-        assert cache.get("a") == payload(1)  # sets a's referenced bit
-        cache.put("c", payload(3))  # sweep passes a, evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") == payload(1)
-        assert cache.get("c") == payload(3)
-
-    def test_untouched_entries_evict_fifo(self):
-        policy = ClockPolicy()
-        for digest in ("a", "b", "c"):
-            policy.on_admit(digest, 0.0, 0)
-        assert [policy.victim(), policy.victim(), policy.victim()] == ["a", "b", "c"]
-
-    def test_remove_then_readmit_skips_the_stale_ring_slot(self):
-        policy = ClockPolicy()
-        policy.on_admit("a", 0.0, 0)
-        policy.on_admit("b", 0.0, 0)
-        policy.remove("a")
-        policy.on_admit("a", 0.0, 0)  # fresh generation, queued after b
-        assert policy.victim() == "b"
-        assert policy.victim() == "a"
 
 
 # ----------------------------------------------------------------------

@@ -125,6 +125,65 @@ class TestPrecedenceMatrix:
             np.fill_diagonal(expected, 0.0)
             assert np.allclose(matrix, expected)
 
+    @staticmethod
+    def _naive_precedence(rankings: RankingSet, weighted: bool) -> np.ndarray:
+        """``W[a, b]`` by a triple loop over rankings and candidate pairs."""
+        positions = rankings.position_matrix()
+        used = rankings.weights if weighted else np.ones(rankings.n_rankings)
+        n = rankings.n_candidates
+        naive = np.zeros((n, n))
+        for r in range(rankings.n_rankings):
+            for a in range(n):
+                for b in range(n):
+                    if positions[r, b] < positions[r, a]:
+                        naive[a, b] += used[r]
+        return naive
+
+    @staticmethod
+    def _random_weighted_set(rng: np.random.Generator, n: int, m: int) -> RankingSet:
+        # Dyadic weights keep every weighted sum exact in float64.
+        return RankingSet(
+            [Ranking(rng.permutation(n).tolist()) for _ in range(m)],
+            weights=rng.integers(1, 9, m) / 4.0,
+        )
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", [60, 61])
+    def test_precedence_matrix_matches_naive_triple_loop(
+        self, monkeypatch, seed, weighted
+    ):
+        n = 10
+        rankings = self._random_weighted_set(np.random.default_rng(seed), n, 8)
+        # Three rankings per chunk: the accumulation spans several chunks.
+        monkeypatch.setattr(RankingSet, "_CHUNK_BYTE_BUDGET", 3 * n * n)
+        assert np.array_equal(
+            rankings.precedence_matrix(weighted=weighted),
+            self._naive_precedence(rankings, weighted),
+        )
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", [62, 63])
+    def test_patched_precedence_matches_naive_triple_loop(
+        self, monkeypatch, seed, weighted
+    ):
+        rng = np.random.default_rng(seed)
+        n = 10
+        base = self._random_weighted_set(rng, n, 6)
+        extra = self._random_weighted_set(rng, n, 7)
+        # Three rankings per chunk: each patch spans several chunks.
+        monkeypatch.setattr(RankingSet, "_CHUNK_BYTE_BUDGET", 3 * n * n)
+        base.precedence_matrix(weighted=weighted)
+        grown = base.with_added(list(extra), weights=extra.weights)
+        assert np.array_equal(
+            grown.precedence_matrix(weighted=weighted),
+            self._naive_precedence(grown, weighted),
+        )
+        shrunk = grown.with_removed([0, 2, 7, 8])
+        assert np.array_equal(
+            shrunk.precedence_matrix(weighted=weighted),
+            self._naive_precedence(shrunk, weighted),
+        )
+
     def test_pairwise_support_is_transpose(self, tiny_rankings):
         support = tiny_rankings.pairwise_support()
         assert np.array_equal(support, tiny_rankings.precedence_matrix().T)

@@ -289,69 +289,6 @@ class TestParallelScenarioGrid:
         ]
 
 
-class TestInGroupThreads:
-    """Opt-in thread-level parallelism inside one workload group.
-
-    The contract mirrors the process pool above: records are bit-identical
-    to the serial sweep apart from the wall-clock timing fields.
-    """
-
-    TARGETS = {"Race": 0.4, "Gender": 0.5}
-
-    def _grid(self) -> ScenarioGrid:
-        return ScenarioGrid.product(
-            candidate_counts=(10, 14),
-            ranking_counts=(4,),
-            thetas=(0.4, 0.8),
-            modal_targets=self.TARGETS,
-            param_grid={"delta": (0.1, 0.2)},
-            seed=11,
-        )
-
-    @pytest.mark.parametrize("in_group_threads", [2, 3, None])
-    def test_threaded_records_identical_to_serial(self, in_group_threads):
-        serial = self._grid().run(_count_rankings, in_group_threads=1)
-        threaded = self._grid().run(
-            _count_rankings, in_group_threads=in_group_threads
-        )
-        assert [_strip_timings(r) for r in serial] == [
-            _strip_timings(r) for r in threaded
-        ]
-
-    def test_threads_compose_with_process_pool(self):
-        serial = self._grid().run(_count_rankings, n_workers=1)
-        combined = self._grid().run(
-            _count_rankings, n_workers=2, in_group_threads=2
-        )
-        assert [_strip_timings(r) for r in serial] == [
-            _strip_timings(r) for r in combined
-        ]
-
-    def test_method_sweep_matches_serial(self):
-        from repro.experiments.harness import evaluate_labelled_cell
-
-        def build():
-            return ScenarioGrid.product(
-                candidate_counts=(12,),
-                ranking_counts=(6,),
-                thetas=(0.6,),
-                modal_targets=self.TARGETS,
-                param_grid={"label": ("A3", "B3"), "delta": (0.1,)},
-                seed=3,
-            )
-
-        serial = build().run(evaluate_labelled_cell, in_group_threads=1)
-        threaded = build().run(evaluate_labelled_cell, in_group_threads=3)
-        assert [_strip_timings(r) for r in serial] == [
-            _strip_timings(r) for r in threaded
-        ]
-
-    def test_invalid_thread_count_rejected(self):
-        grid = ScenarioGrid([ScenarioCell.build(8, 4, 0.6, self.TARGETS)], seed=3)
-        with pytest.raises(ExperimentError):
-            grid.run(_count_rankings, in_group_threads=0)
-
-
 class TestMethodsByLabel:
     def test_instantiates_requested_labels(self):
         methods = methods_by_label(["A3", "B3"])

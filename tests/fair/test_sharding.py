@@ -86,14 +86,6 @@ class TestValidation:
         with pytest.raises(ValidationError, match="n_shards"):
             make_mr_fair_sharded(_random_batch(0, 2), table, 0.2, n_shards=0)
 
-    def test_unknown_backend_fails_fast(self, table):
-        from repro.exceptions import KernelError
-
-        with pytest.raises(KernelError):
-            make_mr_fair_sharded(
-                _random_batch(0, 2), table, 0.2, backend="no-such-backend"
-            )
-
 
 class TestDefaultShardCount:
     def test_bounded_by_rankings_and_positive(self):

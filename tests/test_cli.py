@@ -41,6 +41,22 @@ class TestParser:
                 ["aggregate", "r.csv", "c.csv", "--strategy", "nope"]
             )
 
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            ["aggregate", "r.csv", "c.csv", "--kernel-backend", "numpy"],
+            ["stream", "events.jsonl", "c.csv", "--kernel-backend", "numpy"],
+            ["serve", "--kernel-backend", "numpy"],
+            ["aggregate", "r.csv", "c.csv", "--cache-policy", "clock"],
+            ["serve", "--cache-policy", "clock"],
+        ],
+        ids=["aggregate-backend", "stream-backend", "serve-backend",
+             "aggregate-clock", "serve-clock"],
+    )
+    def test_removed_options_are_rejected(self, arguments):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(arguments)
+
     def test_stream_defaults(self):
         args = build_parser().parse_args(["stream", "events.jsonl", "c.csv"])
         assert args.method == "fair-borda"
@@ -141,35 +157,6 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Fair-Borda" in output
         assert "PD loss" in output
-
-    def test_aggregate_kernel_backend_flag(self, capsys):
-        from repro.kernels import set_default_backend
-
-        arguments = [
-            "aggregate",
-            str(FIXTURE_DIRECTORY / "rankings.csv"),
-            str(FIXTURE_DIRECTORY / "candidates.csv"),
-            "--kernel-backend",
-            "numpy",
-        ]
-        try:
-            assert main(arguments) == 0
-        finally:
-            set_default_backend(None)
-        assert "Fair-Borda" in capsys.readouterr().out
-
-    def test_aggregate_unknown_kernel_backend_explains(self, capsys):
-        arguments = [
-            "aggregate",
-            str(FIXTURE_DIRECTORY / "rankings.csv"),
-            str(FIXTURE_DIRECTORY / "candidates.csv"),
-            "--kernel-backend",
-            "no-such-backend",
-        ]
-        assert main(arguments) == 2
-        stderr = capsys.readouterr().err
-        assert "unknown kernel backend" in stderr
-        assert "numpy" in stderr
 
     @pytest.mark.parametrize("strategy", [None, "insertion"])
     def test_aggregate_committed_fixture(self, capsys, strategy):
