@@ -2,9 +2,11 @@
 
 Every benchmark runs one experiment module (one paper table or figure) at the
 ``ci`` scale through ``pytest-benchmark`` and writes the regenerated
-rows/series to ``benchmarks/results/`` (or to ``MANI_RANK_PERF_RESULTS_DIR``
-when set) as both JSON and readable text, so the numbers behind each figure
-can be inspected after a run.
+rows/series, as both JSON and readable text, to :func:`results_directory`:
+a temporary directory of the pytest run, or ``MANI_RANK_PERF_RESULTS_DIR``
+when that is set.  A plain run therefore never touches the committed
+``benchmarks/results/`` baselines; refreshing one means running its
+benchmark at full scale with ``MANI_RANK_PERF_RESULTS_DIR=benchmarks/results``.
 
 Set the environment variable ``MANI_RANK_BENCH_SCALE=paper`` to run the
 full-size configurations instead (slow without a commercial ILP solver).
@@ -19,8 +21,6 @@ import pytest
 
 from repro.experiments.reporting import ExperimentResult
 
-RESULTS_DIRECTORY = Path(__file__).parent / "results"
-
 
 @pytest.fixture(scope="session")
 def bench_scale() -> str:
@@ -29,44 +29,30 @@ def bench_scale() -> str:
 
 
 @pytest.fixture(scope="session")
-def results_directory() -> Path:
-    """Directory collecting the regenerated tables/figures."""
-    RESULTS_DIRECTORY.mkdir(exist_ok=True)
-    return RESULTS_DIRECTORY
+def results_directory(tmp_path_factory) -> Path:
+    """Where the benchmarks write their results and ``perf_*`` payloads.
 
-
-@pytest.fixture(scope="session")
-def perf_output_directory() -> Path | None:
-    """Redirect target for the ``perf_*`` benchmarks' persisted payloads.
-
-    ``None`` (the default) keeps the standard behaviour: full-scale runs
-    write the committed baselines under ``benchmarks/results/`` and smoke
-    runs assert without persisting.  Setting ``MANI_RANK_PERF_RESULTS_DIR``
-    makes every perf run — smoke included — persist to that directory
-    instead, which is how the CI perf-smoke job captures fresh results as an
-    uploadable artifact and compares them against the committed baseline
-    (``benchmarks/perf_summary.py``) without ever overwriting it.
+    A fresh temporary directory per pytest run by default, so tier-1 runs
+    leave the working tree clean.  ``MANI_RANK_PERF_RESULTS_DIR`` points it
+    elsewhere: the CI perf-smoke job collects its payloads there to compare
+    them with the committed baselines (``benchmarks/perf_summary.py``), and
+    ``MANI_RANK_PERF_RESULTS_DIR=benchmarks/results`` refreshes the baselines.
     """
     override = os.environ.get("MANI_RANK_PERF_RESULTS_DIR")
     if not override:
-        return None
+        return tmp_path_factory.mktemp("results")
     path = Path(override)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 @pytest.fixture
-def save_result(results_directory, perf_output_directory):
-    """Persist an experiment result as JSON + text next to the benchmarks.
-
-    ``MANI_RANK_PERF_RESULTS_DIR`` redirects it like the perf payloads, so a
-    redirected run never rewrites the committed ``ablation-search`` files.
-    """
-    directory = perf_output_directory or results_directory
+def save_result(results_directory):
+    """Persist an experiment result as JSON + text in :func:`results_directory`."""
 
     def _save(result: ExperimentResult) -> None:
-        result.save(directory / f"{result.experiment}.json")
-        text_path = directory / f"{result.experiment}.txt"
+        result.save(results_directory / f"{result.experiment}.json")
+        text_path = results_directory / f"{result.experiment}.txt"
         text_path.write_text(result.to_text() + "\n")
 
     return _save

@@ -9,11 +9,12 @@ systems", Martina et al.) — over a memory-LRU-tier-over-disk
 count, so the run exercises evictions and disk-tier promotions, not just
 memory hits (the explicit eviction accounting motivated by "Compact CAR").
 
-Results are written to ``benchmarks/results/perf_cache.{json,txt}``: per-query
-cold-compute seconds, replay latency percentiles (overall / warm-hit / miss),
-the cache counters, and the acceptance speedup.  Set
-``MANI_RANK_PERF_SCALE=smoke`` for the reduced CI configuration (asserts
-without persisting unless ``MANI_RANK_PERF_RESULTS_DIR`` redirects output).
+Results are written as ``perf_cache.{json,txt}`` to the run's results
+directory (see ``conftest.py``; the committed baseline lives in
+``benchmarks/results/``): per-query cold-compute seconds, replay latency
+percentiles (overall / warm-hit / miss), the cache counters, and the
+acceptance speedup.  Set ``MANI_RANK_PERF_SCALE=smoke`` for the reduced CI
+configuration.
 
 Hard assertions guarding the tentpole:
 
@@ -86,7 +87,7 @@ def _percentiles(latencies_s: list[float]) -> dict[str, float]:
     }
 
 
-def test_perf_cache(results_directory, perf_output_directory, tmp_path):
+def test_perf_cache(results_directory, tmp_path):
     scale = os.environ.get("MANI_RANK_PERF_SCALE", "full")
     parameters = _SCALE_PARAMETERS[scale]
 
@@ -237,13 +238,8 @@ def test_perf_cache(results_directory, perf_output_directory, tmp_path):
     )
 
     # ------------------------------------------------------------------
-    # persist the baseline — full scale only (smoke never overwrites it);
-    # MANI_RANK_PERF_RESULTS_DIR redirects persistence to a scratch directory
+    # persist the run (see results_directory in conftest.py)
     # ------------------------------------------------------------------
-    if perf_output_directory is not None:
-        results_directory = perf_output_directory
-    elif scale != "full":
-        return
     payload = {
         "benchmark": "perf_cache",
         "scale": scale,

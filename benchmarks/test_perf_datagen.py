@@ -6,11 +6,11 @@ against the retained scalar reference
 synthetic-experiment regimes, plus the :meth:`RankingSet.from_position_matrix`
 bulk constructor against the per-ranking list path.
 
-Results are written to ``benchmarks/results/perf_datagen.{json,txt}`` so every
-future PR inherits a data-generation perf trajectory alongside the PR-2
+Results are written as ``perf_datagen.{json,txt}`` to the run's results
+directory (see ``conftest.py``); the committed full-scale baseline in
+``benchmarks/results/`` is the data-generation perf trajectory alongside the
 hot-path baseline.  Set ``MANI_RANK_PERF_SCALE=smoke`` for the reduced
-configuration used by the CI perf smoke job; smoke runs assert but do not
-persist results, so they never overwrite the committed full-scale baseline.
+configuration used by the CI perf smoke job.
 
 Two hard assertions guard the tentpole:
 
@@ -66,7 +66,7 @@ def _reference_sample(modal: Ranking, theta: float, m: int, seed: int) -> list[R
     return [sample_mallows_ranking_reference(modal, theta, rng) for _ in range(m)]
 
 
-def test_perf_datagen(results_directory, perf_output_directory):
+def test_perf_datagen(results_directory):
     scale = os.environ.get("MANI_RANK_PERF_SCALE", "full")
     parameters = _SCALE_PARAMETERS[scale]
     theta = parameters["theta"]
@@ -145,15 +145,8 @@ def test_perf_datagen(results_directory, perf_output_directory):
     ]
 
     # ------------------------------------------------------------------
-    # persist the trajectory — full scale only, so a smoke run (CI, quick
-    # local checks) never overwrites the committed full-scale baseline;
-    # MANI_RANK_PERF_RESULTS_DIR redirects persistence (any scale) to a
-    # scratch directory the CI perf-smoke job uploads and compares
+    # persist the run (see results_directory in conftest.py)
     # ------------------------------------------------------------------
-    if perf_output_directory is not None:
-        results_directory = perf_output_directory
-    elif scale != "full":
-        return
     payload = {
         "benchmark": "perf_datagen",
         "scale": scale,

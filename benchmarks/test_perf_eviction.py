@@ -29,11 +29,11 @@ Hard assertions guarding the tentpole:
   LRU reference's on the measured trace — the replacement upgrade must not
   regress the very currency it optimises.
 
-Results are written to ``benchmarks/results/perf_eviction.{json,txt}`` with
-one speedup row per policy (``saved_s`` normalised by LRU's), which the CI
-perf summary pairs by policy name.  Set ``MANI_RANK_PERF_SCALE=smoke`` for
-the reduced CI configuration (asserts without persisting unless
-``MANI_RANK_PERF_RESULTS_DIR`` redirects output).
+Results are written as ``perf_eviction.{json,txt}`` to the run's results
+directory (see ``conftest.py``; the committed baseline lives in
+``benchmarks/results/``) with one speedup row per policy (``saved_s``
+normalised by LRU's), which the CI perf summary pairs by policy name.  Set
+``MANI_RANK_PERF_SCALE=smoke`` for the reduced CI configuration.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ _MODAL_TARGETS = {"Race": 0.3, "Gender": 0.5}
 _COST_REPEATS = 3
 
 
-def test_perf_eviction(results_directory, perf_output_directory):
+def test_perf_eviction(results_directory):
     scale = os.environ.get("MANI_RANK_PERF_SCALE", "full")
     parameters = _SCALE_PARAMETERS[scale]
 
@@ -207,12 +207,8 @@ def test_perf_eviction(results_directory, perf_output_directory):
     )
 
     # ------------------------------------------------------------------
-    # persist the baseline — full scale only (smoke never overwrites it)
+    # persist the run (see results_directory in conftest.py)
     # ------------------------------------------------------------------
-    if perf_output_directory is not None:
-        results_directory = perf_output_directory
-    elif scale != "full":
-        return
     payload = {
         "benchmark": "perf_eviction",
         "scale": scale,

@@ -13,11 +13,11 @@ pairwise kernels were built for:
 * ``make_mr_fair_sharded`` repairing a batch of Mallows rankings (32 at
   n=200 at full scale) serially vs over a two-process pool.
 
-Results are written to ``benchmarks/results/perf_hot_paths.{json,txt}`` so
-every future PR inherits a perf trajectory to compare against.  Set
-``MANI_RANK_PERF_SCALE=smoke`` for the reduced configuration used by the CI
-perf smoke job; smoke runs assert but do not persist results, so they never
-overwrite the committed full-scale baseline.
+Results are written as ``perf_hot_paths.{json,txt}`` to the run's
+results directory (see ``conftest.py``); the committed full-scale baseline
+in ``benchmarks/results/`` is the perf trajectory later changes compare
+against.  Set ``MANI_RANK_PERF_SCALE=smoke`` for the reduced configuration
+used by the CI perf smoke job.
 
 Hard assertions:
 
@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 import timeit
 
 import numpy as np
+from perf_timing import paired_median
 
 from repro.aggregation.borda import BordaAggregator
 from repro.core.distances import kendall_tau_to_set
@@ -94,7 +94,7 @@ def _best_of(function, repeat: int = 3) -> float:
     return min(timeit.repeat(function, number=1, repeat=repeat))
 
 
-def test_perf_hot_paths(results_directory, perf_output_directory):
+def test_perf_hot_paths(results_directory):
     scale = os.environ.get("MANI_RANK_PERF_SCALE", "full")
     parameters = _SCALE_PARAMETERS[scale]
     delta = parameters["delta"]
@@ -225,25 +225,21 @@ def test_perf_hot_paths(results_directory, perf_output_directory):
         (r.ranking, r.n_swaps) for r in run_serial()
     ]
     # Time the two paths in back-to-back pairs and gate the median of the
-    # per-pair ratios.  On a shared machine the speed of one core drifts by
-    # up to 2x over seconds; both halves of a pair see the same drift, while
-    # a ratio of separately taken minima pits a lucky serial run against
-    # whatever the pool got and swings well below the typical ratio.
+    # per-pair ratios (see perf_timing.py).
     min_sharded_speedup = parameters["min_sharded_speedup"]
     gated = min_sharded_speedup is not None and (os.cpu_count() or 1) >= 2
-    pairs = [
-        (_best_of(run_serial, repeat=1), _best_of(run_sharded, repeat=1))
-        for _ in range(parameters["sharded_pairs"])
-    ]
+    (serial_s, sharded_s), (sharded_speedup,) = paired_median(
+        (run_serial, run_sharded), parameters["sharded_pairs"]
+    )
     sharded_rows = [
         {
             "n_candidates": sharded_n,
             "n_rankings": len(batch),
             "delta": delta,
             "n_shards": n_shards,
-            "serial_s": statistics.median(serial for serial, _ in pairs),
-            "sharded_s": statistics.median(sharded for _, sharded in pairs),
-            "speedup": statistics.median(serial / sharded for serial, sharded in pairs),
+            "serial_s": serial_s,
+            "sharded_s": sharded_s,
+            "speedup": sharded_speedup,
         }
     ]
     if gated:
@@ -254,15 +250,8 @@ def test_perf_hot_paths(results_directory, perf_output_directory):
         )
 
     # ------------------------------------------------------------------
-    # persist the trajectory — full scale only, so a smoke run (CI, quick
-    # local checks) never overwrites the committed full-scale baseline;
-    # MANI_RANK_PERF_RESULTS_DIR redirects persistence (any scale) to a
-    # scratch directory the CI perf-smoke job uploads and compares
+    # persist the run (see results_directory in conftest.py)
     # ------------------------------------------------------------------
-    if perf_output_directory is not None:
-        results_directory = perf_output_directory
-    elif scale != "full":
-        return
     payload = {
         "benchmark": "perf_hot_paths",
         "scale": scale,

@@ -10,11 +10,11 @@ fairness-constrained insertion repair
 (:func:`repro.fair.local_repair.fair_insertion_kemenization`) against *its*
 from-scratch reference, on the synthetic-experiment regimes.
 
-Results are written to ``benchmarks/results/perf_insertion.{json,txt}``,
-extending the PR-2 hot-path / PR-3 datagen / PR-4 local-search perf
+Results are written as ``perf_insertion.{json,txt}`` to the run's results
+directory (see ``conftest.py``); the committed full-scale baseline in
+``benchmarks/results/`` extends the hot-path / datagen / local-search perf
 trajectory.  Set ``MANI_RANK_PERF_SCALE=smoke`` for the reduced CI
-configuration (asserts without persisting unless
-``MANI_RANK_PERF_RESULTS_DIR`` redirects the output).
+configuration.
 
 Each unconstrained configuration is timed from two seeds, as in
 ``test_perf_local_search``: the Borda consensus (near locally optimal) and
@@ -32,17 +32,24 @@ acceptance workload).  Hard assertions guarding the tentpole:
   more);
 * the fairness-constrained insertion repair matches its reference's final
   ranking and move counts, and is >= 5x faster at its largest configuration
-  (the reference rescoring is O(n^2) Kemeny evaluations per pass, so it is
-  benchmarked on smaller grids).
+  with a reference (the reference rescoring is O(n^2) Kemeny evaluations per
+  pass, so it is benchmarked on smaller grids);
+* one more fair-repair row times the engine alone at the acceptance
+  configuration, where the O(n^4) reference is out of reach, so it has no
+  ratio; its result must stay MANI-Rank feasible.
+
+Every ratio is the median of per-round ratios, each round timing the
+reference and the engine back to back (:func:`perf_timing.paired_median`);
+the persisted seconds are the medians of each side.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import timeit
 
 import numpy as np
+from perf_timing import paired_median
 
 from repro.aggregation.borda import BordaAggregator
 from repro.aggregation.search import (
@@ -60,19 +67,26 @@ from repro.fair.local_repair import (
     fair_insertion_kemenization_reference,
 )
 from repro.fair.make_mr_fair import make_mr_fair
+from repro.fairness.parity import mani_rank_satisfied
 
 _SCALE_PARAMETERS = {
     "full": {
         "configurations": ((100, 200), (200, 500)),
         "fair_configurations": ((30, 60), (50, 100)),
+        "fair_engine_only_configuration": (200, 500),
         "theta": 0.3,
+        "rounds": 5,
+        "fair_rounds": 3,
         "min_speedup": 5.0,
         "fair_min_speedup": 5.0,
     },
     "smoke": {
         "configurations": ((40, 60), (60, 100)),
         "fair_configurations": ((15, 25), (20, 40)),
+        "fair_engine_only_configuration": (60, 100),
         "theta": 0.3,
+        "rounds": 5,
+        "fair_rounds": 3,
         "min_speedup": 2.0,
         "fair_min_speedup": 2.0,
     },
@@ -86,12 +100,7 @@ _REPAIR_TARGETS = {"Race": 0.3, "Gender": 0.5}
 _REPAIR_DELTA = 0.05
 
 
-def _best_of(function, repeat: int = 5) -> float:
-    """Minimum wall-clock seconds over ``repeat`` single runs."""
-    return min(timeit.repeat(function, number=1, repeat=repeat))
-
-
-def test_perf_insertion(results_directory, perf_output_directory):
+def test_perf_insertion(results_directory):
     scale = os.environ.get("MANI_RANK_PERF_SCALE", "full")
     parameters = _SCALE_PARAMETERS[scale]
     theta = parameters["theta"]
@@ -125,15 +134,16 @@ def test_perf_insertion(results_directory, perf_output_directory):
                 adjacent_ranking, rankings
             )
 
-            engine_s = _best_of(
-                lambda: local_search(
-                    rankings, seed, strategy="insertion", max_passes=_MAX_PASSES
-                )
-            )
-            reference_s = _best_of(
-                lambda: insertion_local_search_reference(
-                    rankings, seed, max_passes=_MAX_PASSES
-                )
+            (reference_s, engine_s), (speedup,) = paired_median(
+                (
+                    lambda: insertion_local_search_reference(
+                        rankings, seed, max_passes=_MAX_PASSES
+                    ),
+                    lambda: local_search(
+                        rankings, seed, strategy="insertion", max_passes=_MAX_PASSES
+                    ),
+                ),
+                parameters["rounds"],
             )
             search_rows.append(
                 {
@@ -142,7 +152,7 @@ def test_perf_insertion(results_directory, perf_output_directory):
                     "seed": seed_label,
                     "engine_s": engine_s,
                     "reference_s": reference_s,
-                    "speedup": reference_s / engine_s,
+                    "speedup": speedup,
                 }
             )
 
@@ -167,7 +177,11 @@ def test_perf_insertion(results_directory, perf_output_directory):
     # fairness-constrained insertion repair vs from-scratch reference
     # ------------------------------------------------------------------
     repair_rows = []
-    for n_candidates, n_rankings in parameters["fair_configurations"]:
+    fair_configurations = [
+        *((size, True) for size in parameters["fair_configurations"]),
+        (parameters["fair_engine_only_configuration"], False),
+    ]
+    for (n_candidates, n_rankings), with_reference in fair_configurations:
         table = scalability_table(n_candidates, rng=7)
         modal = calibrated_modal_ranking(table, _REPAIR_TARGETS, rng=7)
         rankings = sample_mallows(modal, theta, n_rankings, rng=11)
@@ -176,38 +190,37 @@ def test_perf_insertion(results_directory, perf_output_directory):
             BordaAggregator().aggregate(rankings), table, _REPAIR_DELTA
         ).ranking
 
-        engine_repair = fair_insertion_kemenization(
-            rankings, corrected, table, _REPAIR_DELTA, max_passes=_MAX_PASSES
-        )
-        reference_repair = fair_insertion_kemenization_reference(
-            rankings, corrected, table, _REPAIR_DELTA, max_passes=_MAX_PASSES
-        )
-        assert engine_repair.ranking == reference_repair.ranking
-        assert engine_repair.n_swaps == reference_repair.n_swaps
-        assert engine_repair.n_moves == reference_repair.n_moves
-
-        engine_s = _best_of(
-            lambda: fair_insertion_kemenization(
+        def run_engine():
+            return fair_insertion_kemenization(
                 rankings, corrected, table, _REPAIR_DELTA, max_passes=_MAX_PASSES
             )
-        )
-        reference_s = _best_of(
-            lambda: fair_insertion_kemenization_reference(
+
+        def run_reference():
+            return fair_insertion_kemenization_reference(
                 rankings, corrected, table, _REPAIR_DELTA, max_passes=_MAX_PASSES
-            ),
-            repeat=3,
-        )
-        repair_rows.append(
-            {
-                "n_candidates": n_candidates,
-                "n_rankings": n_rankings,
-                "n_swaps": engine_repair.n_swaps,
-                "n_moves": engine_repair.n_moves,
-                "engine_s": engine_s,
-                "reference_s": reference_s,
-                "speedup": reference_s / engine_s,
-            }
-        )
+            )
+
+        engine_repair = run_engine()
+        assert mani_rank_satisfied(engine_repair.ranking, table, _REPAIR_DELTA)
+        row = {
+            "n_candidates": n_candidates,
+            "n_rankings": n_rankings,
+            "n_swaps": engine_repair.n_swaps,
+            "n_moves": engine_repair.n_moves,
+        }
+        if with_reference:
+            reference_repair = run_reference()
+            assert engine_repair.ranking == reference_repair.ranking
+            assert engine_repair.n_swaps == reference_repair.n_swaps
+            assert engine_repair.n_moves == reference_repair.n_moves
+            (reference_s, engine_s), (speedup,) = paired_median(
+                (run_reference, run_engine), parameters["fair_rounds"]
+            )
+        else:
+            (engine_s,), _ = paired_median((run_engine,), parameters["rounds"])
+            reference_s = speedup = None
+        row.update(engine_s=engine_s, reference_s=reference_s, speedup=speedup)
+        repair_rows.append(row)
 
     fair_min_speedup = float(
         os.environ.get(
@@ -215,7 +228,8 @@ def test_perf_insertion(results_directory, perf_output_directory):
         )
     )
     fair_acceptance = max(
-        repair_rows, key=lambda row: row["n_candidates"] * row["n_rankings"]
+        (row for row in repair_rows if row["speedup"] is not None),
+        key=lambda row: row["n_candidates"] * row["n_rankings"],
     )
     assert fair_acceptance["speedup"] >= fair_min_speedup, (
         f"fair insertion repair only {fair_acceptance['speedup']:.1f}x faster "
@@ -225,15 +239,8 @@ def test_perf_insertion(results_directory, perf_output_directory):
     )
 
     # ------------------------------------------------------------------
-    # persist the trajectory — full scale only, so a smoke run (CI, quick
-    # local checks) never overwrites the committed full-scale baseline;
-    # MANI_RANK_PERF_RESULTS_DIR redirects persistence (any scale) to a
-    # scratch directory the CI perf-smoke job uploads and compares
+    # persist the run (see results_directory in conftest.py)
     # ------------------------------------------------------------------
-    if perf_output_directory is not None:
-        results_directory = perf_output_directory
-    elif scale != "full":
-        return
     payload = {
         "benchmark": "perf_insertion",
         "scale": scale,
@@ -242,7 +249,12 @@ def test_perf_insertion(results_directory, perf_output_directory):
             "fair_configurations": [
                 list(pair) for pair in parameters["fair_configurations"]
             ],
+            "fair_engine_only_configuration": list(
+                parameters["fair_engine_only_configuration"]
+            ),
             "theta": theta,
+            "rounds": parameters["rounds"],
+            "fair_rounds": parameters["fair_rounds"],
             "max_passes": _MAX_PASSES,
             "repair_targets": _REPAIR_TARGETS,
             "repair_delta": _REPAIR_DELTA,

@@ -9,12 +9,11 @@ fairness-preserving local repair
 (:func:`repro.fair.local_repair.fair_local_kemenization`) against its
 from-scratch reference, across the synthetic-experiment regimes.
 
-Results are written to ``benchmarks/results/perf_local_search.{json,txt}`` so
-every future PR inherits a local-search perf trajectory alongside the PR-2
-hot-path and PR-3 datagen baselines.  Set ``MANI_RANK_PERF_SCALE=smoke`` for
-the reduced configuration used by the CI perf smoke job; smoke runs assert
-but do not persist results, so they never overwrite the committed full-scale
-baseline.
+Results are written as ``perf_local_search.{json,txt}`` to the run's
+results directory (see ``conftest.py``); the committed full-scale baseline in
+``benchmarks/results/`` is the local-search perf trajectory alongside the
+hot-path and datagen baselines.  Set ``MANI_RANK_PERF_SCALE=smoke``
+for the reduced configuration used by the CI perf smoke job.
 
 Each configuration is timed from two seeds:
 
@@ -91,7 +90,7 @@ def _best_of(function, repeat: int = 5) -> float:
     return min(timeit.repeat(function, number=1, repeat=repeat))
 
 
-def test_perf_local_search(results_directory, perf_output_directory):
+def test_perf_local_search(results_directory):
     scale = os.environ.get("MANI_RANK_PERF_SCALE", "full")
     parameters = _SCALE_PARAMETERS[scale]
     theta = parameters["theta"]
@@ -222,15 +221,8 @@ def test_perf_local_search(results_directory, perf_output_directory):
     )
 
     # ------------------------------------------------------------------
-    # persist the trajectory — full scale only, so a smoke run (CI, quick
-    # local checks) never overwrites the committed full-scale baseline;
-    # MANI_RANK_PERF_RESULTS_DIR redirects persistence (any scale) to a
-    # scratch directory the CI perf-smoke job uploads and compares
+    # persist the run (see results_directory in conftest.py)
     # ------------------------------------------------------------------
-    if perf_output_directory is not None:
-        results_directory = perf_output_directory
-    elif scale != "full":
-        return
     payload = {
         "benchmark": "perf_local_search",
         "scale": scale,

@@ -22,19 +22,17 @@ of each column.
 
 The warm repair payload is likewise asserted bit-identical to the retained
 from-scratch reference (``rebuild`` + reference Make-MR-Fair + reference
-local repair).  Results are written to
-``benchmarks/results/perf_streaming.{json,txt}`` at full scale (smoke asserts
-without persisting unless ``MANI_RANK_PERF_RESULTS_DIR`` redirects output).
+local repair).  Results are written as ``perf_streaming.{json,txt}`` to the
+run's results directory (see ``conftest.py``; the committed full-scale
+baseline lives in ``benchmarks/results/``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import statistics
-import timeit
 
-import numpy as np
+from perf_timing import paired_median
 
 from repro.cache.service import compute_consensus_payload
 from repro.datagen.attributes import scalability_table
@@ -65,12 +63,7 @@ _SCALE_PARAMETERS = {
 _MODAL_TARGETS = {"Race": 0.3, "Gender": 0.5}
 
 
-def _seconds(function) -> float:
-    """Wall-clock seconds of one run of ``function``."""
-    return timeit.timeit(function, number=1)
-
-
-def test_perf_streaming(results_directory, perf_output_directory):
+def test_perf_streaming(results_directory):
     scale = os.environ.get("MANI_RANK_PERF_SCALE", "full")
     parameters = _SCALE_PARAMETERS[scale]
     n_candidates = parameters["n_candidates"]
@@ -128,24 +121,18 @@ def test_perf_streaming(results_directory, perf_output_directory):
         engine.consensus()
 
     # One round times a recompute and both streaming paths back to back; the
-    # gates take the median of the per-round ratios.  On a shared machine the
-    # speed of a core drifts by up to 2x over seconds: the three timings of a
-    # round see the same drift, whereas minima taken in separate phases can
-    # pit a fast-spell recompute against a slow-spell update.
-    rounds = [
-        (
-            _seconds(recompute),
-            _seconds(update_and_repair) / 2.0,
-            _seconds(update_and_refresh) / 2.0,
+    # gates take the median of the per-round ratios (see perf_timing.py).
+    # Each update path makes two updates per call, so its seconds are halved
+    # and its ratios doubled.
+    (recompute_s, repair_pair_s, refresh_pair_s), (repair_ratio, refresh_ratio) = (
+        paired_median(
+            (recompute, update_and_repair, update_and_refresh), parameters["rounds"]
         )
-        for _ in range(parameters["rounds"])
-    ]
-    recompute_s = statistics.median(row[0] for row in rounds)
-    repair_s = statistics.median(row[1] for row in rounds)
-    refresh_s = statistics.median(row[2] for row in rounds)
-
-    repair_speedup = statistics.median(row[0] / row[1] for row in rounds)
-    refresh_speedup = statistics.median(row[0] / row[2] for row in rounds)
+    )
+    repair_s = repair_pair_s / 2.0
+    refresh_s = refresh_pair_s / 2.0
+    repair_speedup = 2.0 * repair_ratio
+    refresh_speedup = 2.0 * refresh_ratio
     min_repair = float(
         os.environ.get(
             "MANI_RANK_PERF_MIN_SPEEDUP", parameters["min_repair_speedup"]
@@ -169,13 +156,8 @@ def test_perf_streaming(results_directory, perf_output_directory):
     )
 
     # ------------------------------------------------------------------
-    # persist the baseline — full scale only (smoke never overwrites it);
-    # MANI_RANK_PERF_RESULTS_DIR redirects persistence to a scratch directory
+    # persist the run (see results_directory in conftest.py)
     # ------------------------------------------------------------------
-    if perf_output_directory is not None:
-        results_directory = perf_output_directory
-    elif scale != "full":
-        return
     operations = [
         {
             "operation": "update-and-repair",

@@ -39,7 +39,6 @@ Quickstart
 True
 """
 
-from repro import _deprecated
 from repro.aggregation import (
     BordaAggregator,
     CopelandAggregator,
@@ -156,8 +155,3 @@ __all__ = [
     "AggregationError",
     "InfeasibleProblemError",
 ]
-
-
-# The removed compute-kernel registry names warn once and resolve to the
-# numpy-only stand-ins of repro._deprecated (see docs/api.md).
-__getattr__ = _deprecated.module_getattr(__name__)

@@ -37,7 +37,6 @@ from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
-from repro import _deprecated
 from repro.cache.service import ConsensusCacheService, compute_consensus_payload
 from repro.cache.store import ResultCache
 from repro.core.candidates import CandidateTable
@@ -57,10 +56,6 @@ __all__ = [
     "open_cache",
     "Profile",
 ]
-
-# The removed compute-kernel registry names warn once and resolve to the
-# numpy-only stand-ins of repro._deprecated (see docs/api.md).
-__getattr__ = _deprecated.module_getattr(__name__)
 
 
 class Profile(NamedTuple):
@@ -91,15 +86,12 @@ def aggregate(
     method: str = "fair-borda",
     strategy: str | None = None,
     delta: FairnessThresholds | float | Mapping[str, float] = 0.1,
-    backend: str | None = None,
 ) -> dict:
     """Aggregate a profile into a fair consensus and return the JSON payload.
 
     A thin wrapper over
-    :func:`~repro.cache.service.compute_consensus_payload`.  ``backend`` is
-    deprecated: numpy is the only compute-kernel implementation.
+    :func:`~repro.cache.service.compute_consensus_payload`.
     """
-    _deprecated.backend_argument("repro.api.aggregate", backend)
     return compute_consensus_payload(
         rankings, table, method=method, strategy=strategy, delta=delta
     )
@@ -111,7 +103,6 @@ def repair(
     delta: FairnessThresholds | float | Mapping[str, float],
     max_swaps: int | None = None,
     n_shards: int | None = None,
-    backend: str | None = None,
 ) -> MakeMRFairResult | list[MakeMRFairResult]:
     """Repair ranking(s) to MANI-Rank fairness with Make-MR-Fair.
 
@@ -119,10 +110,8 @@ def repair(
     process (``n_shards`` is ignored), or a sequence of rankings to repair
     the batch — sharded across a process pool when ``n_shards`` is ``None``
     (one shard per CPU) or greater than one, bit-identical to the serial
-    loop either way.  ``backend`` is deprecated: numpy is the only
-    compute-kernel implementation.
+    loop either way.
     """
-    _deprecated.backend_argument("repro.api.repair", backend)
     if isinstance(rankings, Ranking):
         return make_mr_fair(rankings, table, delta, max_swaps=max_swaps)
     return make_mr_fair_sharded(

@@ -327,8 +327,7 @@ class RankingSet:
         One batched O(m n^2 / chunk) computation over the position matrix
         instead of m separate merge sorts; the per-ranking counts are exact
         integers.  This is the kernel behind
-        :func:`repro.core.distances.kendall_tau_to_set` and the PD-loss
-        metric.
+        :func:`repro.core.distances.kendall_tau_to_set`.
         """
         if ranking.n_candidates != self._n:
             raise RankingError(

@@ -28,13 +28,17 @@ produce the identical swap sequence and final ranking.
 **Neighbourhoods.**  The repair mirrors the strategy family of
 :mod:`repro.aggregation.search`: :func:`fair_insertion_kemenization` runs the
 fairness-filtered variable-neighbourhood descent — fair adjacent passes to
-convergence, then best-improvement block moves whose targets are filtered by
-:meth:`FairnessState.parity_after_move
-<repro.fairness.incremental.FairnessState.parity_after_move>` feasibility,
-looping — so its result is never worse in Kemeny objective than the plain
-adjacent repair on the same input; :func:`fair_local_search` dispatches a
-strategy name (``adjacent-swap`` / ``insertion`` / ``combined``) the same way
-the unconstrained search does.  ``fair-borda-insertion`` in the method
+convergence, then best-improvement block moves, looping — so its result is
+never worse in Kemeny objective than the plain adjacent repair on the same
+input.  A block-move pass scores one candidate's whole target row at a time:
+:meth:`KemenyDeltaEngine.move_deltas
+<repro.aggregation.incremental.KemenyDeltaEngine.move_deltas>` gives every
+target's objective change and :meth:`FairnessState.parity_after_moves
+<repro.fairness.incremental.FairnessState.parity_after_moves>` every target's
+parity, so the feasibility filter is one mask over the row rather than one
+query per target.  :func:`fair_local_search` dispatches a strategy name
+(``adjacent-swap`` / ``insertion`` / ``combined``) the same way the
+unconstrained search does.  ``fair-borda-insertion`` in the method
 registry is Fair-Borda post-processed with the insertion repair.
 """
 
@@ -131,25 +135,31 @@ def _fair_insertion_pass(
     """One fairness-filtered best-improvement insertion pass.
 
     For each candidate (id order) the engine scores every target position in
-    one vectorised gather; the improving targets are tried best-first (ties
-    towards the smallest position) and the first MANI-Rank-feasible one is
-    applied.  Returns the number of applied block moves.
+    one vectorised gather and the fairness engine every target's parity in
+    another; of the improving targets that stay MANI-Rank feasible, the
+    best one (ties towards the smallest position) is applied.  Returns the
+    number of applied block moves.
     """
+    limits = {
+        entity: thresholds.threshold_for(entity) + _FEASIBILITY_TOLERANCE
+        for entity in fairness.entities
+    }
     moved = 0
     for candidate in range(engine.n_candidates):
         deltas = engine.move_deltas(candidate)
         improving = np.flatnonzero(deltas < 0.0)
         if improving.size == 0:
             continue
-        ranked = improving[np.lexsort((improving, deltas[improving]))]
-        for target in ranked:
-            target = int(target)
-            if not _feasible(fairness.parity_after_move(candidate, target), thresholds):
-                continue
-            engine.apply_move(candidate, target)
-            fairness.apply_move(candidate, target)
-            moved += 1
-            break
+        feasible = np.ones(engine.n_candidates, dtype=bool)
+        for entity, parity in fairness.parity_after_moves(candidate).items():
+            feasible &= parity <= limits[entity]
+        eligible = improving[feasible[improving]]
+        if eligible.size == 0:
+            continue
+        target = int(eligible[np.lexsort((eligible, deltas[eligible]))[0]])
+        engine.apply_move(candidate, target)
+        fairness.apply_move(candidate, target)
+        moved += 1
     return moved
 
 

@@ -36,6 +36,10 @@ entity, ``n`` = candidates):
 * :meth:`FairnessState.parity_after_swap` /
   :meth:`FairnessState.potential_after_swap` — O(Σ_E G);
 * :meth:`FairnessState.apply_swap` — O(Σ_E G);
+* :meth:`FairnessState.parity_after_moves` — O(n · Σ_E G) for the whole
+  target row of one candidate, in a handful of array operations (plus an
+  O(n · Σ_E G) prefix-count table, built once per order);
+* :meth:`FairnessState.apply_move` — O(window + Σ_E G);
 * :meth:`FairnessState.parity_scores` — O(E) (cached per-entity floats);
 * :meth:`FairnessState.to_ranking` — O(n).
 
@@ -188,24 +192,6 @@ class _EntityStats:
             counts = [-count for count in counts]
         return counts
 
-    def parity_after_deltas(self, deltas: list[int]) -> float:
-        """ARP after adding ``deltas`` to the per-group favored counts.
-
-        Same correctly-rounded divisions and first-occurrence max/min
-        reductions as :meth:`_refresh`, so the value is bit-identical to
-        rescoring the materialised moved ranking.
-        """
-        favored = self.favored
-        denominators = self.denominators
-        highest = lowest = (favored[0] + deltas[0]) / denominators[0]
-        for group in range(1, self.n_groups):
-            score = (favored[group] + deltas[group]) / denominators[group]
-            if score > highest:
-                highest = score
-            elif score < lowest:
-                lowest = score
-        return highest - lowest
-
     def apply_deltas(self, deltas: list[int]) -> None:
         """Commit per-group favored-count deltas and refresh the caches."""
         favored = self.favored
@@ -252,6 +238,24 @@ class FairnessState:
             _EntityStats(entity, table, ranking) for entity in self._entities
         ]
         self._stats_by_name = {stats.name: stats for stats in self._stats}
+        # Move queries lay every entity's groups side by side in one table:
+        # entity i owns the columns from _block_starts[i] up to the next
+        # start, and _group_columns[c, i] is candidate c's column there.
+        sizes = [stats.n_groups for stats in self._stats]
+        self._block_starts = np.cumsum([0, *sizes[:-1]])
+        self._group_columns = np.stack(
+            [
+                np.asarray(stats.membership, dtype=np.int64) + start
+                for stats, start in zip(self._stats, self._block_starts)
+            ],
+            axis=1,
+        )
+        self._denominator_row = np.asarray(
+            [value for stats in self._stats for value in stats.denominators],
+            dtype=np.int64,
+        )
+        self._targets = np.arange(self._n, dtype=np.int64)
+        self._move_tables: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # accessors
@@ -398,25 +402,41 @@ class FairnessState:
                 total += excess
         return total
 
-    def parity_after_move(self, candidate: int, new_position: int) -> dict[str, float]:
-        """Parity scores after a hypothetical block move of ``candidate``.
+    def parity_after_moves(self, candidate: int) -> dict[str, np.ndarray]:
+        """Parity scores after a block move of ``candidate`` to every position.
 
-        Bit-identical to materialising the moved ranking and rescoring it
-        with :func:`repro.fairness.parity.parity_scores`, but O(window +
-        Σ n_groups): only the pairs between the candidate and the shifted
-        block re-order, so each entity's favored counts change by the
-        block's per-group membership histogram (see
-        :meth:`_EntityStats.move_deltas`).  The companion of
-        :meth:`KemenyDeltaEngine.delta_move <repro.aggregation.incremental.KemenyDeltaEngine.delta_move>`
+        Returns ``{entity: parity}`` where ``parity[t]`` is the entity's
+        score once the candidate is moved to position ``t`` (its own
+        position gives the current score).  A block move re-orders only the
+        pairs between the candidate and the shifted window, so each
+        entity's favored counts change by the window's per-group
+        histogram (see :meth:`_EntityStats.move_deltas`).  Every window's
+        histogram is a difference of two rows of a prefix-count table
+        along the current order, which makes the whole target row a few
+        ``(n, Σ n_groups)`` array operations.  The counts are the same
+        exact integers and the divisions the same correctly rounded ones as
+        rescoring the materialised moved ranking with
+        :func:`repro.fairness.parity.parity_scores`, so every entry is
+        bit-identical to it.  The companion of
+        :meth:`KemenyDeltaEngine.move_deltas <repro.aggregation.incremental.KemenyDeltaEngine.move_deltas>`
         for the fairness-constrained insertion search.
         """
-        window, falling = self._move_window(candidate, new_position)
-        return {
-            stats.name: stats.parity_after_deltas(
-                stats.move_deltas(candidate, window, falling)
-            )
-            for stats in self._stats
-        }
+        prefix, favored = self._current_move_tables()
+        position = self._positions_list[candidate]
+        targets = self._targets
+        falling = targets > position
+        # A falling move passes order[position + 1 : t + 1]; a rising one
+        # passes order[t : position], and its deltas are negated.  Shifting
+        # both prefix rows by one for falling targets gives both cases (and
+        # zero for t == position) in one gather.
+        deltas = prefix[targets + falling] - prefix[position + falling]
+        # The candidate's own group trades its in-group count for minus the
+        # mixed pairs: count - |window| (falling) or its negation (rising).
+        deltas[:, self._group_columns[candidate]] -= (targets - position)[:, np.newaxis]
+        scores = (favored + deltas) / self._denominator_row
+        parity = np.maximum.reduceat(scores, self._block_starts, axis=1)
+        parity -= np.minimum.reduceat(scores, self._block_starts, axis=1)
+        return {name: parity[:, index] for index, name in enumerate(self._entities)}
 
     # ------------------------------------------------------------------
     # mutation
@@ -432,6 +452,7 @@ class FairnessState:
         upper, lower = self._oriented(first, second)
         for stats in self._stats:
             stats.apply(stats.membership[upper], stats.membership[lower], gap)
+        self._move_tables = None
         position_first = positions[first]
         position_second = positions[second]
         self._order[position_first] = second
@@ -454,6 +475,7 @@ class FairnessState:
             return
         for stats in self._stats:
             stats.apply_deltas(stats.move_deltas(candidate, window, falling))
+        self._move_tables = None
         order = self._order_list
         positions = self._positions_list
         old_position = positions[candidate]
@@ -470,6 +492,27 @@ class FairnessState:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _current_move_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix group counts along the current order, and the favored row.
+
+        ``prefix[k, c]`` counts the candidates of group column ``c`` among
+        the first ``k`` positions.  Both arrays depend only on the current
+        order, so they are built on first use and dropped by every
+        mutation.
+        """
+        if self._move_tables is None:
+            n = self._n
+            counts = np.zeros((n, self._denominator_row.size), dtype=np.int64)
+            counts[self._targets[:, np.newaxis], self._group_columns[self._order]] = 1
+            prefix = np.zeros((n + 1, counts.shape[1]), dtype=np.int64)
+            np.cumsum(counts, axis=0, out=prefix[1:])
+            favored = np.asarray(
+                [count for stats in self._stats for count in stats.favored],
+                dtype=np.int64,
+            )
+            self._move_tables = (prefix, favored)
+        return self._move_tables
+
     def _move_window(self, candidate: int, new_position: int) -> tuple[list[int], bool]:
         """The candidates a block move shifts past, and the move's direction.
 

@@ -19,6 +19,7 @@ produced by the same underlying aggregation method.
 
 from __future__ import annotations
 
+from repro.core.distances import kemeny_objective
 from repro.core.pairwise import total_pairs
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
@@ -31,6 +32,10 @@ def pd_loss(rankings: RankingSet, consensus: Ranking) -> float:
     """Pairwise Disagreement loss of ``consensus`` against the base rankings.
 
     Returns a value in [0, 1]; see the module docstring for the formula.
+    The summed Kendall tau distances equal the unweighted Kemeny objective,
+    which is read from the set's cached precedence matrix: O(n^2) when an
+    aggregator or search has already built the matrix, and one O(m n^2)
+    build (cached for later calls) otherwise.
     """
     if consensus.n_candidates != rankings.n_candidates:
         raise RankingError(
@@ -40,9 +45,9 @@ def pd_loss(rankings: RankingSet, consensus: Ranking) -> float:
     pairs = total_pairs(consensus.n_candidates)
     if pairs == 0:
         return 0.0
-    # One batched Kendall tau computation over the position matrix instead of
-    # a merge sort per base ranking; the counts are exact integers.
-    disagreements = int(rankings.kendall_tau_vector(consensus).sum())
+    # The matrix holds exact integer counts and the objective is below 2**53,
+    # so the float sum is the exact disagreement count.
+    disagreements = int(kemeny_objective(consensus, rankings))
     return disagreements / (pairs * rankings.n_rankings)
 
 

@@ -11,11 +11,11 @@ rankings instead of the O(m n^2) rebuild.
 
 Two consensus paths with different cost/freshness trade-offs:
 
-* :meth:`consensus` runs the exact batch pipeline on the patched state and
-  is **bit-identical** to :func:`repro.cache.service.compute_consensus_payload`
-  on a from-scratch rebuild of the same profile (the expensive O(m n^2)
-  matrix and PD-loss work is replaced by cache patches plus an O(n^2)
-  precedence-matrix read).
+* :meth:`consensus` runs the batch pipeline,
+  :func:`repro.cache.service.compute_consensus_payload`, on the patched set,
+  so it is **bit-identical** to the same call on a from-scratch rebuild of
+  the profile.  The O(m n^2) matrix builds are replaced by the cache
+  patches, and PD loss reads the patched precedence matrix in O(n^2).
 * :meth:`repair` warm-starts Make-MR-Fair and the fairness-preserving local
   search from the *previous* consensus instead of a cold seed, so one
   update costs a handful of local-search passes — the ``update-and-repair``
@@ -38,8 +38,6 @@ import numpy as np
 from repro.cache.fingerprint import fingerprint_candidate_table
 from repro.cache.service import compute_consensus_payload, resolve_method
 from repro.core.candidates import CandidateTable
-from repro.core.distances import kemeny_objective
-from repro.core.pairwise import total_pairs
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
 from repro.exceptions import ValidationError
@@ -51,7 +49,7 @@ from repro.fair.local_repair import (
 from repro.fair.make_mr_fair import make_mr_fair, make_mr_fair_reference
 from repro.fair.registry import canonical_fair_method_name
 from repro.fairness.parity import parity_scores
-from repro.fairness.report import fairness_row
+from repro.fairness.pd_loss import pd_loss
 from repro.fairness.thresholds import FairnessThresholds
 from repro.io.serialization import canonical_json
 
@@ -316,62 +314,26 @@ class StreamingConsensusEngine:
             )
         return self._set
 
-    def _fast_pd_loss(self, consensus: Ranking, rankings: RankingSet) -> float:
-        """PD loss from the cached precedence matrix, bit-identical to batch.
-
-        The sum of per-ranking Kendall tau distances to the consensus equals
-        the Kemeny objective — the precedence-matrix entries above the
-        consensus diagonal — and both are exact integers below 2^53, so
-        ``int(objective) / (pairs * m)`` reproduces
-        :func:`repro.fairness.pd_loss.pd_loss` bit-for-bit at O(n^2) cost
-        instead of O(m n^2).
-        """
-        pairs = total_pairs(rankings.n_candidates)
-        if pairs == 0:
-            return 0.0
-        disagreements = int(kemeny_objective(consensus, rankings))
-        return disagreements / (pairs * rankings.n_rankings)
-
     def consensus(self) -> dict:
         """Exact batch consensus of the current profile from the patched state.
 
-        Bit-identical to
-        ``compute_consensus_payload(self.rebuild(), table, method, strategy,
-        delta)`` — the cold O(m n^2) precedence build and PD-loss pass are
-        replaced by the incremental cache patches and an O(n^2) read.  The
-        payload is cached per profile version, so repeated reads between
-        updates are free.
+        :func:`compute_consensus_payload` on the live set, so bit-identical
+        to the same call on :meth:`rebuild` — the cold O(m n^2) precedence
+        build is replaced by the incremental cache patches.  The payload is
+        cached per profile version, so repeated reads between updates are
+        free.
         """
         rankings = self._require_profile()
         if self._payload is not None and self._payload_version == self._version:
             return self._payload
-        aggregator = resolve_method(self._method, self._strategy)
-        result = aggregator.aggregate_with_diagnostics(
-            rankings, self._table, self._thresholds
+        payload = compute_consensus_payload(
+            rankings,
+            self._table,
+            method=self._method,
+            strategy=self._strategy,
+            delta=self._thresholds,
         )
-        consensus = result.ranking
-        payload = {
-            "method": self._method,
-            "method_label": aggregator.name,
-            "strategy": self._strategy,
-            "delta": {
-                "default": self._thresholds.default,
-                "per_entity": self._thresholds.per_entity,
-            },
-            "consensus": {
-                "order": consensus.to_list(),
-                "names": [self._table.name_of(candidate) for candidate in consensus],
-            },
-            "unaware_order": (
-                result.unaware_ranking.to_list() if result.unaware_ranking else None
-            ),
-            "pd_loss": self._fast_pd_loss(consensus, rankings),
-            "parity": parity_scores(consensus, self._table),
-            "fairness": fairness_row(consensus, self._table),
-            "diagnostics": result.diagnostics,
-        }
-        payload = json.loads(canonical_json(payload))
-        self._previous = consensus
+        self._previous = Ranking(payload["consensus"]["order"])
         self._payload = payload
         self._payload_version = self._version
         return payload
@@ -419,7 +381,7 @@ class StreamingConsensusEngine:
                 "order": consensus.to_list(),
                 "names": [self._table.name_of(candidate) for candidate in consensus],
             },
-            "pd_loss": self._fast_pd_loss(consensus, rankings),
+            "pd_loss": pd_loss(rankings, consensus),
             "parity": parity_scores(consensus, self._table),
             "diagnostics": {
                 "fairness_swaps": fair.n_swaps,
@@ -486,10 +448,4 @@ class StreamingConsensusEngine:
             search = fair_local_search(
                 rebuilt, fair.ranking, self._table, self._thresholds, strategy=name
             )
-        payload = dict(self._repair_payload(fair, search, rebuilt))
-        # The reference recomputes PD loss the O(m n^2) way; equality with the
-        # cached-matrix fast path is part of the bit-identity contract.
-        from repro.fairness.pd_loss import pd_loss
-
-        payload["pd_loss"] = pd_loss(rebuilt, search.ranking)
-        return json.loads(canonical_json(payload))
+        return self._repair_payload(fair, search, rebuilt)

@@ -44,15 +44,34 @@ def _random_table(rng: np.random.Generator, n: int) -> CandidateTable:
     return CandidateTable(columns)
 
 
+def _draw_delta(rng: np.random.Generator, per_entity: bool):
+    """A scalar threshold, or a mapping that gives P0 and the intersection
+    their own limits (each entity's limit then enters the feasibility test)."""
+    delta = float(rng.choice([0.2, 0.4, 0.6]))
+    if not per_entity:
+        return delta
+    return {
+        "default": delta,
+        "P0": float(rng.choice([0.2, 0.4, 0.6])),
+        CandidateTable.INTERSECTION: float(rng.choice([0.4, 0.6, 0.8])),
+    }
+
+
+_PER_ENTITY = pytest.mark.parametrize(
+    "per_entity", [False, True], ids=["scalar", "per-entity"]
+)
+
+
 class TestEquivalenceWithReference:
+    @_PER_ENTITY
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_engine_and_reference_agree(self, seed):
+    def test_engine_and_reference_agree(self, per_entity, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 22))
         table = _random_table(rng, n)
         rankings = RankingSet([Ranking.random(n, rng) for _ in range(int(rng.integers(2, 8)))])
-        delta = float(rng.choice([0.2, 0.4, 0.6]))
+        delta = _draw_delta(rng, per_entity)
         try:
             corrected = make_mr_fair(Ranking.random(n, rng), table, delta).ranking
         except AggregationError:
@@ -160,14 +179,15 @@ class TestSeededWiring:
 
 
 class TestInsertionRepair:
+    @_PER_ENTITY
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_engine_and_reference_agree(self, seed):
+    def test_engine_and_reference_agree(self, per_entity, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 18))
         table = _random_table(rng, n)
         rankings = RankingSet([Ranking.random(n, rng) for _ in range(int(rng.integers(2, 8)))])
-        delta = float(rng.choice([0.2, 0.4, 0.6]))
+        delta = _draw_delta(rng, per_entity)
         try:
             corrected = make_mr_fair(Ranking.random(n, rng), table, delta).ranking
         except AggregationError:
@@ -183,14 +203,17 @@ class TestInsertionRepair:
         assert fast.objective == reference.objective
         assert fast.objective == kemeny_objective(fast.ranking, rankings)
 
+    @_PER_ENTITY
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_never_worse_than_adjacent_repair_and_stays_feasible(self, seed):
+    def test_never_worse_than_adjacent_repair_and_stays_feasible(
+        self, per_entity, seed
+    ):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 18))
         table = _random_table(rng, n)
         rankings = RankingSet([Ranking.random(n, rng) for _ in range(int(rng.integers(2, 8)))])
-        delta = float(rng.choice([0.2, 0.4, 0.6]))
+        delta = _draw_delta(rng, per_entity)
         try:
             corrected = make_mr_fair(Ranking.random(n, rng), table, delta).ranking
         except AggregationError:
@@ -265,8 +288,10 @@ class TestFairLocalSearchDispatch:
         )
         assert via_dispatch == direct
 
-    def test_combined_preserves_feasibility_and_objective(self, small_dataset):
-        delta = 0.2
+    @pytest.mark.parametrize(
+        "delta", [0.2, {"default": 0.2, "Race": 0.3}], ids=["scalar", "per-entity"]
+    )
+    def test_combined_preserves_feasibility_and_objective(self, small_dataset, delta):
         corrected = make_mr_fair(
             Ranking.identity(small_dataset.table.n_candidates),
             small_dataset.table,

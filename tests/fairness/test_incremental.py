@@ -141,29 +141,70 @@ class TestMoveQueries:
         order.insert(target, candidate)
         return Ranking(order)
 
-    def test_parity_after_move_matches_materialised_move(self, tiny_table):
-        ranking = Ranking([0, 3, 5, 1, 2, 4])
-        state = FairnessState(ranking, tiny_table)
-        for candidate in range(6):
-            for target in range(6):
-                moved = self._materialised_move(ranking, candidate, target)
-                assert state.parity_after_move(candidate, target) == parity_scores(
-                    moved, tiny_table
-                )
+    @staticmethod
+    def _assert_rows_match_materialised(state: FairnessState, table) -> None:
+        """Every candidate's row, every target (0, n - 1 and the candidate's
+        own position included), equals the rescored materialised move."""
+        ranking = state.to_ranking()
+        n = ranking.n_candidates
+        for candidate in range(n):
+            rows = state.parity_after_moves(candidate)
+            assert set(rows) == set(table.all_fairness_entities())
+            for row in rows.values():
+                assert row.dtype == np.float64 and row.shape == (n,)
+            for target in range(n):
+                moved = TestMoveQueries._materialised_move(ranking, candidate, target)
+                assert {
+                    entity: row[target] for entity, row in rows.items()
+                } == parity_scores(moved, table)
+
+    @pytest.mark.parametrize(
+        "order", [[0, 3, 5, 1, 2, 4], [0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]]
+    )
+    def test_parity_after_moves_matches_materialised_move(self, tiny_table, order):
+        state = FairnessState(Ranking(order), tiny_table)
+        self._assert_rows_match_materialised(state, tiny_table)
+
+    def test_single_attribute_rows(self, single_attribute_table):
+        """No intersection entity: one row per query, still exact."""
+        state = FairnessState(Ranking([2, 0, 3, 1]), single_attribute_table)
+        assert list(state.parity_after_moves(0)) == ["Gender"]
+        self._assert_rows_match_materialised(state, single_attribute_table)
+
+    def test_two_candidates(self):
+        table = CandidateTable({"Gender": ["M", "F"]})
+        state = FairnessState(Ranking([1, 0]), table)
+        self._assert_rows_match_materialised(state, table)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_stay_exact_through_mutations(self, seed):
+        """The prefix table behind the rows is dropped by every swap and move."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 16))
+        table = _random_table(rng, n, n_attributes=int(rng.integers(1, 4)))
+        state = FairnessState(Ranking.random(n, rng), table)
+        for _ in range(4):
+            self._assert_rows_match_materialised(state, table)
+            if rng.random() < 0.5:
+                first, second = rng.choice(n, size=2, replace=False)
+                state.apply_swap(int(first), int(second))
+            else:
+                state.apply_move(int(rng.integers(0, n)), int(rng.integers(0, n)))
 
     def test_move_query_does_not_mutate_state(self, tiny_table):
         ranking = Ranking([0, 3, 5, 1, 2, 4])
         state = FairnessState(ranking, tiny_table)
         before = state.parity_scores()
-        state.parity_after_move(0, 5)
-        state.parity_after_move(5, 0)
+        state.parity_after_moves(0)
+        state.parity_after_moves(5)
         assert state.parity_scores() == before
         assert state.to_ranking() == ranking
 
     def test_move_target_out_of_range_rejected(self, tiny_table):
         state = FairnessState(Ranking.identity(6), tiny_table)
         with pytest.raises(FairnessError):
-            state.parity_after_move(0, 6)
+            state.apply_move(0, 6)
         with pytest.raises(FairnessError):
             state.apply_move(0, -1)
 
@@ -171,11 +212,12 @@ class TestMoveQueries:
         ranking = Ranking([0, 3, 5, 1, 2, 4])
         state = FairnessState(ranking, tiny_table)
         for candidate in range(6):
-            position = ranking.positions[candidate]
-            assert state.parity_after_move(candidate, int(position)) == (
-                state.parity_scores()
-            )
-            state.apply_move(candidate, int(position))
+            position = int(ranking.positions[candidate])
+            rows = state.parity_after_moves(candidate)
+            assert {
+                entity: row[position] for entity, row in rows.items()
+            } == state.parity_scores()
+            state.apply_move(candidate, position)
         assert state.to_ranking() == ranking
         _assert_state_matches_scratch(state, tiny_table)
 

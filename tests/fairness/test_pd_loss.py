@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,55 @@ class TestPdLoss:
         assert pd_loss(rankings, consensus) + pd_loss(
             rankings, consensus.reversed()
         ) == pytest.approx(1.0)
+
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=1, max_value=7),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_summed_kendall_tau(self, n, m, weighted, seed):
+        """The precedence-matrix read equals the per-ranking Kendall tau sum
+        over (pairs * m), exactly; weights do not enter Definition 9."""
+        rng = np.random.default_rng(seed)
+        rankings = RankingSet.from_orders(
+            [rng.permutation(n).tolist() for _ in range(m)]
+        )
+        if weighted:
+            rankings = rankings.with_weights(rng.uniform(0.1, 3.0, size=m).tolist())
+        consensus = Ranking(rng.permutation(n).tolist())
+        pairs = n * (n - 1) // 2
+        expected = (
+            int(rankings.kendall_tau_vector(consensus).sum()) / (pairs * m)
+            if pairs
+            else 0.0
+        )
+        assert pd_loss(rankings, consensus) == expected
+
+    def test_builds_and_then_reuses_the_cached_precedence_matrix(self):
+        rankings = RankingSet.from_orders([[0, 1, 2, 3], [3, 1, 0, 2], [1, 0, 3, 2]])
+        consensus = Ranking([1, 0, 2, 3])
+        first = pd_loss(rankings, consensus)
+        matrix = rankings.precedence_matrix()
+        assert pd_loss(rankings, consensus) == first
+        assert rankings.precedence_matrix() is matrix
+
+    def test_patched_sets_match_a_rebuild(self):
+        """pd_loss on with_added / with_removed reads the patched matrix."""
+        rng = np.random.default_rng(3)
+        orders = [rng.permutation(7).tolist() for _ in range(6)]
+        base = RankingSet.from_orders(orders[:4])
+        base.precedence_matrix()
+        added = base.with_added([Ranking(order) for order in orders[4:]])
+        removed = added.with_removed([0, 2])
+        consensus = Ranking(rng.permutation(7).tolist())
+        assert pd_loss(added, consensus) == pd_loss(
+            RankingSet.from_orders(orders), consensus
+        )
+        assert pd_loss(removed, consensus) == pd_loss(
+            RankingSet.from_orders([orders[1], *orders[3:]]), consensus
+        )
 
 
 class TestPriceOfFairness:

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro.cache.fingerprint import fingerprint_ranking_set
+from repro.cache.service import compute_consensus_payload
+from repro.core.ranking import Ranking
 from repro.exceptions import ValidationError
 from repro.streaming import StreamingConsensusEngine
 
@@ -102,6 +104,32 @@ class TestRandomizedSequences:
             engine.add_rankings([random_order(rng) for _ in range(2)])
             engine.remove_rankings([engine.rankings.rankings[0].to_list()])
             assert engine.repair() == engine.repair_reference(previous)
+
+    def test_consensus_is_the_batch_payload_of_the_live_set(self, tiny_table, rng):
+        engine = StreamingConsensusEngine(tiny_table, delta=DELTA)
+        engine.add_rankings([random_order(rng) for _ in range(5)])
+        payload = engine.consensus()
+        assert payload == compute_consensus_payload(
+            engine.rankings, tiny_table, delta=DELTA
+        )
+        assert engine.last_consensus.to_list() == payload["consensus"]["order"]
+        assert engine.consensus() is payload
+
+    def test_repair_pd_loss_is_the_kendall_tau_sum(self, tiny_table, rng):
+        engine = StreamingConsensusEngine(tiny_table, delta=DELTA)
+        engine.add_rankings(
+            [random_order(rng) for _ in range(5)],
+            weights=[float(rng.choice(WEIGHT_POOL)) for _ in range(5)],
+        )
+        engine.consensus()
+        engine.add_rankings([random_order(rng)])
+        payload = engine.repair()
+        rebuilt = engine.rebuild()
+        consensus = Ranking(payload["consensus"]["order"])
+        pairs = N * (N - 1) // 2
+        assert payload["pd_loss"] == int(
+            rebuilt.kendall_tau_vector(consensus).sum()
+        ) / (pairs * rebuilt.n_rankings)
 
     def test_repair_without_previous_falls_back_to_consensus(self, tiny_table, rng):
         engine = StreamingConsensusEngine(tiny_table, delta=DELTA)

@@ -124,7 +124,7 @@ class TestMoveTraces:
 class TestParityTraces:
     """Per-swap and per-move parity updates: the rescored ranking's floats."""
 
-    @pytest.mark.parametrize("seed", [40, 41, 42])
+    @pytest.mark.parametrize("seed", [40, 41, 42, 43, 44, 45])
     def test_swap_and_move_trace(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 20))
@@ -141,11 +141,13 @@ class TestParityTraces:
                 state.apply_swap(first, second)
             else:
                 candidate = int(rng.integers(n))
+                rows = state.parity_after_moves(candidate)
+                for target in range(n):
+                    assert {
+                        entity: row[target] for entity, row in rows.items()
+                    } == parity_scores(current.move(candidate, target), table)
                 position = int(rng.integers(n))
                 after = current.move(candidate, position)
-                assert state.parity_after_move(candidate, position) == parity_scores(
-                    after, table
-                )
                 state.apply_move(candidate, position)
             assert state.to_ranking() == after
             assert state.parity_scores() == parity_scores(after, table)
