@@ -15,7 +15,9 @@ Raw times are not compared across directories — the baseline is recorded at
 full scale on one machine and the current run typically at smoke scale on a
 shared runner — so the table reports each side's *speedup* (engine vs
 retained from-scratch reference, the scale-robust signal every perf payload
-carries) plus its scale tag.  Stdlib only: the script must run before the
+carries) plus its scale tag.  Above the table it prints each side's machine
+stamps (CPU count, Python and numpy versions; see
+``perf_timing.machine_stamp``).  Stdlib only: the script must run before the
 project's dependencies are installed if need be.
 """
 
@@ -74,6 +76,29 @@ def _load_payloads(directory: Path) -> dict[str, dict]:
     return payloads
 
 
+def _machine_summary(payloads: dict[str, dict]) -> str:
+    """Each machine stamp of one directory, with the benchmarks that carry it.
+
+    Payloads written before the stamp existed are listed as unstamped.
+    """
+    benchmarks_by_stamp: dict[str, list[str]] = {}
+    for name, payload in sorted(payloads.items()):
+        machine = payload.get("machine")
+        if isinstance(machine, dict):
+            stamp = (
+                f"cpus={machine.get('cpu_count', '?')} "
+                f"python={machine.get('python', '?')} "
+                f"numpy={machine.get('numpy', '?')}"
+            )
+        else:
+            stamp = "unstamped"
+        benchmarks_by_stamp.setdefault(stamp, []).append(name)
+    return "; ".join(
+        f"{stamp} ({', '.join(names)})"
+        for stamp, names in sorted(benchmarks_by_stamp.items())
+    ) or "—"
+
+
 def render_summary(baseline_directory: Path, current_directory: Path) -> str:
     """The markdown comparison of the two result directories."""
     baseline = _load_payloads(baseline_directory)
@@ -91,6 +116,9 @@ def render_summary(baseline_directory: Path, current_directory: Path) -> str:
         "Speedups are engine-vs-reference on each side's own scale; raw times "
         "are not comparable across scales."
     )
+    lines.append("")
+    lines.append(f"- Baseline machine: {_machine_summary(baseline)}")
+    lines.append(f"- Current machine: {_machine_summary(current)}")
     lines.append("")
     lines.append("| benchmark | section | configuration | baseline speedup | current speedup |")
     lines.append("|---|---|---|---:|---:|")

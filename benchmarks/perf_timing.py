@@ -5,14 +5,32 @@ A ratio of minima taken in separate phases can then pit a fast spell on one
 side against a slow spell on the other, and swing well away from the
 typical ratio.  :func:`paired_median` instead times every side once per
 round, back to back, so the sides of one round see the same drift, and
-reports medians over the rounds.
+reports medians over the rounds.  :func:`machine_stamp` is the record of
+the machine that every perf payload carries.
 """
 
 from __future__ import annotations
 
+import os
+import platform
 import statistics
 import timeit
 from collections.abc import Callable, Sequence
+
+import numpy as np
+
+
+def machine_stamp() -> dict[str, object]:
+    """CPU count and the Python and numpy versions of this run.
+
+    Every perf payload records it under ``"machine"``, so a baseline's
+    absolute times can be told apart from a run on a different machine.
+    """
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def paired_median(

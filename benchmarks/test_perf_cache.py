@@ -36,6 +36,7 @@ import time
 import timeit
 
 import numpy as np
+from perf_timing import machine_stamp
 
 from repro.cache.service import ConsensusCacheService, compute_consensus_payload
 from repro.cache.store import ResultCache
@@ -243,6 +244,7 @@ def test_perf_cache(results_directory, tmp_path):
     payload = {
         "benchmark": "perf_cache",
         "scale": scale,
+        "machine": machine_stamp(),
         "parameters": {
             "profiles": [list(profile) for profile in parameters["profiles"]],
             "methods": list(parameters["methods"]),

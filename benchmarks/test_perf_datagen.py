@@ -28,6 +28,7 @@ import os
 import timeit
 
 import numpy as np
+from perf_timing import machine_stamp
 
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
@@ -150,6 +151,7 @@ def test_perf_datagen(results_directory):
     payload = {
         "benchmark": "perf_datagen",
         "scale": scale,
+        "machine": machine_stamp(),
         "parameters": {
             key: value for key, value in parameters.items() if key != "min_speedup"
         },

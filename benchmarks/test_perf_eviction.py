@@ -43,6 +43,7 @@ import os
 import time
 
 import numpy as np
+from perf_timing import machine_stamp
 
 from repro.cache.service import compute_consensus_payload
 from repro.cache.store import ResultCache
@@ -212,6 +213,7 @@ def test_perf_eviction(results_directory):
     payload = {
         "benchmark": "perf_eviction",
         "scale": scale,
+        "machine": machine_stamp(),
         "parameters": {
             "profiles": [list(profile) for profile in parameters["profiles"]],
             "methods": list(parameters["methods"]),

@@ -49,7 +49,7 @@ import json
 import os
 
 import numpy as np
-from perf_timing import paired_median
+from perf_timing import machine_stamp, paired_median
 
 from repro.aggregation.borda import BordaAggregator
 from repro.aggregation.search import (
@@ -244,6 +244,7 @@ def test_perf_insertion(results_directory):
     payload = {
         "benchmark": "perf_insertion",
         "scale": scale,
+        "machine": machine_stamp(),
         "parameters": {
             "configurations": [list(pair) for pair in parameters["configurations"]],
             "fair_configurations": [

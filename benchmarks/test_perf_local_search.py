@@ -44,6 +44,7 @@ import os
 import timeit
 
 import numpy as np
+from perf_timing import machine_stamp
 
 from repro.aggregation.borda import BordaAggregator
 from repro.aggregation.local_search import (
@@ -226,6 +227,7 @@ def test_perf_local_search(results_directory):
     payload = {
         "benchmark": "perf_local_search",
         "scale": scale,
+        "machine": machine_stamp(),
         "parameters": {
             "configurations": [list(pair) for pair in parameters["configurations"]],
             "theta": theta,

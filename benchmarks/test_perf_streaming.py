@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 
-from perf_timing import paired_median
+from perf_timing import machine_stamp, paired_median
 
 from repro.cache.service import compute_consensus_payload
 from repro.datagen.attributes import scalability_table
@@ -177,6 +177,7 @@ def test_perf_streaming(results_directory):
     payload = {
         "benchmark": "perf_streaming",
         "scale": scale,
+        "machine": machine_stamp(),
         "parameters": {
             "n_candidates": n_candidates,
             "n_rankings": n_rankings,

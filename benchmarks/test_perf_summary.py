@@ -83,6 +83,33 @@ def test_configuration_labels_keep_float_axes_and_drop_outputs(tmp_path):
     assert "engine_s" not in output
 
 
+def test_render_summary_prints_both_sides_machine_stamps(tmp_path):
+    baseline = tmp_path / "baseline"
+    current = tmp_path / "current"
+    baseline.mkdir()
+    current.mkdir()
+    rows = {"rows": [{"case": "a", "speedup": 2.0}]}
+    stamp = {"cpu_count": 2, "python": "3.11.7", "numpy": "2.4.6"}
+    _write_payload(baseline, "perf_stamped", "full", {**rows, "machine": stamp})
+    # A baseline written before payloads carried a stamp.
+    _write_payload(baseline, "perf_old", "full", rows)
+    _write_payload(
+        current,
+        "perf_stamped",
+        "smoke",
+        {**rows, "machine": {"cpu_count": 4, "python": "3.12.1", "numpy": "2.1.0"}},
+    )
+    output = perf_summary.render_summary(baseline, current)
+    assert (
+        "- Baseline machine: cpus=2 python=3.11.7 numpy=2.4.6 (perf_stamped); "
+        "unstamped (perf_old)" in output
+    )
+    assert "- Current machine: cpus=4 python=3.12.1 numpy=2.1.0 (perf_stamped)" in output
+    # The stamps sit above the table, and the stamp is no table row.
+    assert output.index("Current machine") < output.index("| benchmark |")
+    assert "cpu_count" not in output
+
+
 def test_render_summary_reports_missing_current_benchmarks(tmp_path):
     baseline = tmp_path / "baseline"
     current = tmp_path / "current"

@@ -1,7 +1,12 @@
-"""Unit tests for the paired-median estimator behind the perf ratio gates."""
+"""Unit tests for the perf timing helpers: the paired-median estimator behind
+the perf ratio gates, and the machine stamp every perf payload carries."""
 
 from __future__ import annotations
 
+import os
+import platform
+
+import numpy as np
 import perf_timing
 from perf_timing import paired_median
 
@@ -37,3 +42,12 @@ def test_a_single_function_reports_its_median_and_no_ratio(monkeypatch):
     seconds, speedups = paired_median((lambda: None,), 3)
     assert seconds == [0.2]
     assert speedups == []
+
+
+
+def test_machine_stamp_names_cpus_and_versions():
+    assert perf_timing.machine_stamp() == {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }

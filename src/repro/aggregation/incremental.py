@@ -116,28 +116,15 @@ class KemenyDeltaEngine:
         self._order_dirty = False
         self._positions_list: list[int] = initial.positions.tolist()
         self._positions_dirty = False
-        # Everything O(n^2) (the nested-list margin mirror, the objective) or
-        # O(n) but sweep-specific (the improving-pair mask) is built lazily:
-        # the common already-converged sweep must cost one O(n) gather, not an
-        # up-front quadratic build.
-        self._margin_rows_cache: list[list[float]] | None = None
+        # Everything O(n^2) (the objective) or O(n) but sweep-specific (the
+        # improving-pair mask) is built lazily: the common already-converged
+        # sweep must cost one O(n) gather, not an up-front quadratic build.
         self._objective_cache: float | None = None
         self._sweep_mask: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # lazy internals
     # ------------------------------------------------------------------
-    def _rows(self) -> list[list[float]]:
-        """Nested plain-list mirror of the margin matrix (lazily built).
-
-        Scalar reads cost several times less on nested lists than on numpy
-        arrays (the same trade as ``FairnessState``'s group lists); the
-        mirror pays off once a caller issues many point queries.
-        """
-        if self._margin_rows_cache is None:
-            self._margin_rows_cache = self._margin.tolist()
-        return self._margin_rows_cache
-
     def _order(self) -> list[int]:
         """Candidate-order list, rebuilt lazily after sweep shifts.
 
@@ -218,7 +205,16 @@ class KemenyDeltaEngine:
     def margin(self, first: int, second: int) -> float:
         """``W[first, second] - W[second, first]`` (positive: ``first`` above
         ``second`` costs more than the reverse)."""
-        return self._rows()[first][second]
+        return float(self._margin[first, second])
+
+    def adjacent_margins(self) -> list[float]:
+        """``margin(order[p], order[p + 1])`` for every position ``p``.
+
+        One O(n) gather along the current order, for passes that read every
+        adjacent pair and usually accept no swap.
+        """
+        order = self._order_array
+        return self._margin[order[:-1], order[1:]].tolist()
 
     # ------------------------------------------------------------------
     # adjacent swaps (O(1))
@@ -229,7 +225,7 @@ class KemenyDeltaEngine:
         order = self._order()
         upper = order[position]
         lower = order[position + 1]
-        return self._rows()[lower][upper]
+        return float(self._margin[lower, upper])
 
     def apply_adjacent_swap(self, position: int) -> float:
         """Swap positions ``position``/``position + 1``; return the applied delta."""
@@ -237,7 +233,7 @@ class KemenyDeltaEngine:
         positions = self._positions()
         upper = order[position]
         lower = order[position + 1]
-        delta = self._rows()[lower][upper]
+        delta = float(self._margin[lower, upper])
         order[position] = lower
         order[position + 1] = upper
         self._order_array[position] = lower

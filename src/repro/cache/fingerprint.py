@@ -23,6 +23,7 @@ Two properties matter for correctness:
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -45,6 +46,16 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+#: Fingerprints of live ranking sets, so a set is hashed once however often
+#: it is keyed (the in-process service answering repeated queries on one
+#: profile).  A RankingSet never changes after construction, so an entry
+#: holds for its set's lifetime, and the weak keys drop it with the set.
+#: Entries are pure functions of their keys: no caller can observe another's.
+_PROFILE_FINGERPRINTS: weakref.WeakKeyDictionary[RankingSet, str] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def fingerprint_ranking_set(rankings: RankingSet) -> str:
     """SHA-256 fingerprint of the weighted multiset of base rankings.
 
@@ -52,17 +63,22 @@ def fingerprint_ranking_set(rankings: RankingSet) -> str:
     int64 bytes — no JSON encode of ``m*n`` integers on the hot path) and its
     weight; the per-ranking digests are sorted before the final hash, so the
     fingerprint is invariant to the construction order of the set.  Labels are
-    excluded: they never influence an aggregation result.
+    excluded: they never influence an aggregation result.  Computed once per
+    set object and remembered while the set lives.
     """
-    tokens = sorted(
-        _digest(
-            ranking.order.astype("<i8", copy=False).tobytes()
-            + repr(float(weight)).encode()
+    fingerprint = _PROFILE_FINGERPRINTS.get(rankings)
+    if fingerprint is None:
+        tokens = sorted(
+            _digest(
+                ranking.order.astype("<i8", copy=False).tobytes()
+                + repr(float(weight)).encode()
+            )
+            for ranking, weight in zip(rankings.rankings, rankings.weights)
         )
-        for ranking, weight in zip(rankings.rankings, rankings.weights)
-    )
-    body = f"n={rankings.n_candidates};" + ";".join(tokens)
-    return _digest(body.encode())
+        body = f"n={rankings.n_candidates};" + ";".join(tokens)
+        fingerprint = _digest(body.encode())
+        _PROFILE_FINGERPRINTS[rankings] = fingerprint
+    return fingerprint
 
 
 def fingerprint_candidate_table(table: CandidateTable) -> str:

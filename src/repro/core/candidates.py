@@ -207,6 +207,7 @@ class CandidateTable:
 
         self._groups_by_attribute = self._build_groups()
         self._intersection_groups = self._build_intersection_groups()
+        self._membership_arrays: dict[str, np.ndarray] = {}
         self._intersection_value_by_candidate = tuple(
             tuple(self._values[attr][i] for attr in self.attribute_names)
             for i in range(self._n)
@@ -373,12 +374,17 @@ class CandidateTable:
         """Return an int array mapping candidate id -> group index for ``attribute``.
 
         Group indexes follow the order of :meth:`groups`.  This is the compact
-        representation used by the vectorised fairness metrics.
+        representation used by the vectorised fairness metrics.  The array is
+        read-only and cached, because every parity evaluation asks for it.
         """
-        groups = self.groups(attribute)
-        membership = np.empty(self._n, dtype=np.int64)
-        for index, candidate_group in enumerate(groups):
-            membership[list(candidate_group.members)] = index
+        membership = self._membership_arrays.get(attribute)
+        if membership is None:
+            groups = self.groups(attribute)
+            membership = np.empty(self._n, dtype=np.int64)
+            for index, candidate_group in enumerate(groups):
+                membership[list(candidate_group.members)] = index
+            membership.setflags(write=False)
+            self._membership_arrays[attribute] = membership
         return membership
 
     # ------------------------------------------------------------------

@@ -112,24 +112,18 @@ def favored_mixed_pairs_by_group(
     -------
     numpy.ndarray
         ``counts[g]`` is the number of mixed pairs in which a member of group
-        ``g`` appears above a candidate of any other group.  Fully vectorised:
-        O(n * n_groups) numpy work with no per-position Python loop, which is
-        effectively O(n) for the handful of groups the paper considers.
+        ``g`` appears above a candidate of any other group.  Two O(n)
+        ``bincount`` passes cover every group at once: a member at position
+        ``p`` has ``n - 1 - p`` candidates below it, and over a group of
+        ``size`` members ``size * (size - 1) / 2`` of those are same-group
+        pairs.  The float64 sums hold exact integers (each is below ``n**2``).
     """
-    ordered_groups = membership[ranking.order]
-    n = ordered_groups.shape[0]
-    counts = np.zeros(n_groups, dtype=np.int64)
-    for group in range(n_groups):
-        # Positions of the group's members, best to worst.  The k-th member
-        # (0-based) has size-1-k same-group candidates after it, so its
-        # favored (mixed) pairs are the remaining candidates below it.
-        member_positions = np.flatnonzero(ordered_groups == group)
-        size = member_positions.shape[0]
-        if size == 0:
-            continue
-        same_group_after = size - 1 - np.arange(size, dtype=np.int64)
-        counts[group] = int(((n - 1 - member_positions) - same_group_after).sum())
-    return counts
+    n = ranking.n_candidates
+    below = np.bincount(
+        membership, weights=(n - 1) - ranking.positions, minlength=n_groups
+    )
+    sizes = np.bincount(membership, minlength=n_groups)
+    return below.astype(np.int64) - sizes * (sizes - 1) // 2
 
 
 def favored_mixed_pairs_by_group_naive(

@@ -44,18 +44,28 @@ class RankingSet:
         rankings = list(rankings)
         if not rankings:
             raise RankingError("a ranking set must contain at least one ranking")
-        for index, ranking in enumerate(rankings):
-            if not isinstance(ranking, Ranking):
-                raise RankingError(
-                    f"item {index} is not a Ranking (got {type(ranking).__name__})"
-                )
+        # Streaming patches rebuild a set per update, so the checks run as
+        # one pass each and find the offending index only on failure.
+        if not all(isinstance(ranking, Ranking) for ranking in rankings):
+            index, ranking = next(
+                (index, ranking)
+                for index, ranking in enumerate(rankings)
+                if not isinstance(ranking, Ranking)
+            )
+            raise RankingError(
+                f"item {index} is not a Ranking (got {type(ranking).__name__})"
+            )
         n = rankings[0].n_candidates
-        for index, ranking in enumerate(rankings):
-            if ranking.n_candidates != n:
-                raise RankingError(
-                    "all base rankings must cover the same candidates: "
-                    f"ranking 0 has {n}, ranking {index} has {ranking.n_candidates}"
-                )
+        if any(ranking.n_candidates != n for ranking in rankings):
+            index, ranking = next(
+                (index, ranking)
+                for index, ranking in enumerate(rankings)
+                if ranking.n_candidates != n
+            )
+            raise RankingError(
+                "all base rankings must cover the same candidates: "
+                f"ranking 0 has {n}, ranking {index} has {ranking.n_candidates}"
+            )
         self._rankings = tuple(rankings)
         self._n = n
 
@@ -64,7 +74,7 @@ class RankingSet:
                 raise ValidationError(
                     f"got {len(labels)} labels for {len(rankings)} rankings"
                 )
-            self._labels = tuple(str(label) for label in labels)
+            self._labels = tuple(map(str, labels))
         else:
             self._labels = tuple(f"r{i + 1}" for i in range(len(rankings)))
 
@@ -253,16 +263,53 @@ class RankingSet:
     #: broadcast (keeps peak memory bounded at ~64 MiB regardless of scale).
     _CHUNK_BYTE_BUDGET = 1 << 26
 
-    def _position_chunks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(start, block)`` slices of the position matrix.
+    #: Most rankings one chunk of the unweighted kernel holds: it sums each
+    #: chunk's comparisons in int16, which is exact up to this many rows.
+    _INT16_ROWS = int(np.iinfo(np.int16).max)
+
+    def _row_chunks(
+        self, rows: np.ndarray, max_rows: int | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(start, block)`` slices of ``rows``, one ranking per row.
 
         Blocks are sized so the ``k x n x n`` boolean comparison tensor built
-        from each stays within :data:`_CHUNK_BYTE_BUDGET` bytes.
+        from each stays within :data:`_CHUNK_BYTE_BUDGET` bytes, and hold at
+        most ``max_rows`` rows when that is given.
         """
-        positions = self.position_matrix()
         rows_per_chunk = max(1, self._CHUNK_BYTE_BUDGET // max(1, self._n * self._n))
-        for start in range(0, self.n_rankings, rows_per_chunk):
-            yield start, positions[start : start + rows_per_chunk]
+        if max_rows is not None:
+            rows_per_chunk = min(rows_per_chunk, max_rows)
+        for start in range(0, rows.shape[0], rows_per_chunk):
+            yield start, rows[start : start + rows_per_chunk]
+
+    def _precedence_sum(
+        self, position_rows: np.ndarray, weights: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Summed precedence contribution of the given position rows.
+
+        ``result[a, b]`` counts the rows in which ``b`` precedes ``a``
+        (``positions[b] < positions[a]``), or sums those rows' ``weights``.
+        This is the one kernel behind :meth:`precedence_matrix` (which
+        describes its integer and weighted paths) and the streaming patches
+        of :meth:`with_added`/:meth:`with_removed`.
+        """
+        n = self._n
+        if weights is None:
+            narrow = position_rows.astype(np.min_scalar_type(n - 1))
+            counts = np.zeros((n, n), dtype=np.int64)
+            for _, block in self._row_chunks(narrow, self._INT16_ROWS):
+                # precedes[r, a, b] <=> positions_r[b] < positions_r[a]
+                precedes = block[:, np.newaxis, :] < block[:, :, np.newaxis]
+                counts += np.add.reduce(precedes, axis=0, dtype=np.int16)
+            return counts.astype(float)
+        matrix = np.zeros((n, n), dtype=float)
+        for start, block in self._row_chunks(position_rows):
+            precedes = block[:, np.newaxis, :] < block[:, :, np.newaxis]
+            matrix += np.einsum(
+                "r,rab->ab", weights[start : start + block.shape[0]], precedes
+            )
+        np.fill_diagonal(matrix, 0.0)
+        return matrix
 
     def precedence_matrix(self, weighted: bool = False) -> np.ndarray:
         """Return the precedence matrix ``W`` of Definition 11.
@@ -274,22 +321,24 @@ class RankingSet:
 
         Computed as a chunked broadcast over the ``m x n`` position matrix —
         O(m n^2) numpy work with bounded peak memory instead of a Python loop
-        over the m rankings.  Both variants are cached because several
-        aggregators request them for the same (immutable) ranking set.
+        over the m rankings.  The unweighted matrix is counted in narrow
+        integers: positions are compared in the smallest unsigned type that
+        holds ``n - 1`` (uint8 up to n = 256), each chunk of at most 32,767
+        rankings is summed in int16, the chunks in int64, and the total is
+        converted to float64 once.  A chunk's int16 sum cannot overflow and
+        every entry is an exact integer count, so the matrix is exact for
+        any ``m``.  The weighted matrix keeps a float64 ``einsum`` of each
+        chunk's weights against its comparisons.  Both variants are cached
+        because several aggregators request them for the same (immutable)
+        ranking set.
         """
         if weighted and self._weighted_precedence_cache is not None:
             return self._weighted_precedence_cache
         if not weighted and self._precedence_cache is not None:
             return self._precedence_cache
-        weights = self._weights if weighted else self.unit_weights
-        matrix = np.zeros((self._n, self._n), dtype=float)
-        for start, block in self._position_chunks():
-            # precedes[r, a, b] <=> positions_r[b] < positions_r[a]
-            precedes = block[:, np.newaxis, :] < block[:, :, np.newaxis]
-            matrix += np.einsum(
-                "r,rab->ab", weights[start : start + block.shape[0]], precedes
-            )
-        np.fill_diagonal(matrix, 0.0)
+        matrix = self._precedence_sum(
+            self.position_matrix(), self._weights if weighted else None
+        )
         matrix.setflags(write=False)
         if weighted:
             self._weighted_precedence_cache = matrix
@@ -337,7 +386,7 @@ class RankingSet:
         reference = ranking.positions
         reference_precedes = reference[:, np.newaxis] < reference[np.newaxis, :]
         distances = np.empty(self.n_rankings, dtype=np.int64)
-        for start, block in self._position_chunks():
+        for start, block in self._row_chunks(self.position_matrix()):
             precedes = block[:, :, np.newaxis] < block[:, np.newaxis, :]
             # In-place comparison keeps one k x n x n tensor live, honouring
             # the chunk byte budget.
@@ -377,39 +426,18 @@ class RankingSet:
     # ------------------------------------------------------------------
     # incremental (streaming) updates
     # ------------------------------------------------------------------
-    def _precedence_delta(
-        self, position_rows: np.ndarray, row_weights: np.ndarray
-    ) -> np.ndarray:
-        """Summed weighted precedence contribution of the given position rows.
-
-        Each ranking is a rank-1-style contribution to the precedence matrix:
-        ``precedes[a, b] = positions[b] < positions[a]`` scaled by its weight.
-        Chunked exactly like :meth:`precedence_matrix` so one call stays
-        within :data:`_CHUNK_BYTE_BUDGET` bytes of boolean workspace.
-        """
-        n = self._n
-        delta = np.zeros((n, n), dtype=float)
-        rows_per_chunk = max(1, self._CHUNK_BYTE_BUDGET // max(1, n * n))
-        for start in range(0, position_rows.shape[0], rows_per_chunk):
-            block = position_rows[start : start + rows_per_chunk]
-            precedes = block[:, np.newaxis, :] < block[:, :, np.newaxis]
-            delta += np.einsum(
-                "r,rab->ab", row_weights[start : start + block.shape[0]], precedes
-            )
-        np.fill_diagonal(delta, 0.0)
-        return delta
-
     def _patched_precedence(
         self,
         cache: np.ndarray | None,
         position_rows: np.ndarray,
-        row_weights: np.ndarray,
+        row_weights: np.ndarray | None,
         sign: float,
     ) -> np.ndarray | None:
         """Patch a cached precedence matrix by +/- the given rows' contribution.
 
-        Returns ``None`` when the cache was never materialised (the child set
-        then computes lazily as usual).  The patch is bit-identical to a
+        ``row_weights`` is ``None`` for the unweighted matrix.  Returns
+        ``None`` when the cache was never materialised (the child set then
+        computes lazily as usual).  The patch is bit-identical to a
         from-scratch recomputation whenever every weight's contributions are
         exactly representable and accumulate without rounding — always true
         for unweighted sets (integer-valued entries) and for integer or
@@ -417,7 +445,7 @@ class RankingSet:
         """
         if cache is None:
             return None
-        delta = self._precedence_delta(position_rows, row_weights)
+        delta = self._precedence_sum(position_rows, row_weights)
         patched = cache + delta if sign > 0 else cache - delta
         np.fill_diagonal(patched, 0.0)
         patched.setflags(write=False)
@@ -488,10 +516,7 @@ class RankingSet:
             position_matrix.setflags(write=False)
             child._position_cache = position_matrix
         child._precedence_cache = self._patched_precedence(
-            self._precedence_cache,
-            added_positions,
-            np.ones(len(added), dtype=float),
-            sign=1.0,
+            self._precedence_cache, added_positions, None, sign=1.0
         )
         child._weighted_precedence_cache = self._patched_precedence(
             self._weighted_precedence_cache, added_positions, extra_weights, sign=1.0
@@ -535,10 +560,7 @@ class RankingSet:
             position_matrix.setflags(write=False)
             child._position_cache = position_matrix
         child._precedence_cache = self._patched_precedence(
-            self._precedence_cache,
-            removed_positions,
-            np.ones(len(removal), dtype=float),
-            sign=-1.0,
+            self._precedence_cache, removed_positions, None, sign=-1.0
         )
         child._weighted_precedence_cache = self._patched_precedence(
             self._weighted_precedence_cache, removed_positions, removed_weights, sign=-1.0
@@ -558,18 +580,6 @@ class RankingSet:
             [self._rankings[i] for i in indexes],
             labels=[self._labels[i] for i in indexes],
             weights=[float(self._weights[i]) for i in indexes],
-        )
-
-    def extended_with(self, rankings: Sequence[Ranking], labels: Sequence[str] | None = None) -> "RankingSet":
-        """Return a new set with additional rankings appended."""
-        extra_labels = (
-            list(labels)
-            if labels is not None
-            else [f"r{self.n_rankings + i + 1}" for i in range(len(rankings))]
-        )
-        return RankingSet(
-            list(self._rankings) + list(rankings),
-            labels=list(self._labels) + extra_labels,
         )
 
     def to_order_lists(self) -> list[list[int]]:

@@ -111,19 +111,30 @@ def _fair_adjacent_pass(
     fairness: FairnessState,
     thresholds: FairnessThresholds,
 ) -> int:
-    """One fairness-filtered bubble pass; returns the number of accepted swaps."""
+    """One fairness-filtered bubble pass; returns the number of accepted swaps.
+
+    The margins of the adjacent pairs come from one gather at the start of
+    the pass.  A swap at position ``p`` moves its upper candidate into the
+    pair at ``p + 1``, so that pair's margin is read from the engine; every
+    later pair is still as gathered.
+    """
     order = engine.order_list
+    margins = engine.adjacent_margins()
     accepted = 0
+    swapped = False
     for position in range(engine.n_candidates - 1):
         upper = order[position]
         lower = order[position + 1]
-        if engine.margin(upper, lower) <= 0.0:
+        margin = engine.margin(upper, lower) if swapped else margins[position]
+        swapped = False
+        if margin <= 0.0:
             continue
         if not _feasible(fairness.parity_after_swap(upper, lower), thresholds):
             continue
         engine.apply_adjacent_swap(position)
         fairness.apply_swap(upper, lower)
         accepted += 1
+        swapped = True
     return accepted
 
 

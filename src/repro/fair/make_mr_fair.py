@@ -37,15 +37,23 @@ a positive amount on every accepted move, the procedure always terminates.
 **Performance.**  The main implementation runs on the incremental fairness
 engine (:class:`repro.fairness.incremental.FairnessState`): evaluating a
 candidate move costs O(Σ n_groups) instead of a full O(n · n_groups) parity
-recomputation plus an O(n) :class:`Ranking` copy, and move selection works
-directly on the engine's position array.  The original from-scratch evaluator
-is retained verbatim as :func:`make_mr_fair_reference`; the test suite
-asserts both produce the identical swap sequence, ``n_swaps``, and final
-ranking on every exercised input.
+recomputation plus an O(n) :class:`Ranking` copy.  Move selection reads the
+engine's sorted per-group position lists: the paper swap is two bisects, and
+the single-step moves start from the ends of the lists.  Applying a swap
+keeps those lists sorted with a bisect removal and insertion per affected
+group, so no numpy call remains in the per-swap path, and each entity's
+threshold is looked up once per call.  A cheap-pool move is tried by
+applying it and reading the potential, and swapped back if rejected; the
+exhaustive fallback scores its moves without applying them.  The original
+from-scratch evaluator is retained verbatim as
+:func:`make_mr_fair_reference`; the test suite asserts both produce the
+identical swap sequence, ``n_swaps``, and final ranking on every exercised
+input.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -79,11 +87,19 @@ class MakeMRFairResult:
 def _violation_potential(
     scores: Mapping[str, float], thresholds: FairnessThresholds
 ) -> float:
-    """Total amount by which the parity scores exceed their thresholds."""
-    return sum(
-        max(0.0, score - thresholds.threshold_for(entity))
-        for entity, score in scores.items()
-    )
+    """Total amount by which the parity scores exceed their thresholds.
+
+    Summed left to right like :meth:`FairnessState.potential
+    <repro.fairness.incremental.FairnessState.potential>`: the builtin
+    ``sum`` compensates rounding on Python 3.12+, so it could differ from
+    the engine in the last bit.
+    """
+    total = 0.0
+    for entity, score in scores.items():
+        excess = score - thresholds.threshold_for(entity)
+        if excess > 0.0:
+            total += excess
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -94,55 +110,37 @@ def _paper_swap_pair(state: FairnessState, entity: str) -> tuple[int, int] | Non
 
     The advantaged candidate ``x_Gh`` is the worst-positioned member of the
     highest-FPR group that still has a member of the lowest-FPR group ranked
-    below it, and ``x_Gl`` is the best-positioned such member.  Selection runs
-    on the engine's position array; no ranking is materialised.
+    below it, and ``x_Gl`` is the best-positioned such member.  On the two
+    groups' sorted position lists that is two bisects: ``x_Gh`` sits at the
+    predecessor in ``G_highest`` of ``G_lowest``'s last position, and
+    ``x_Gl`` at the successor in ``G_lowest`` of ``x_Gh``'s position.
     """
     highest_index, lowest_index = state.extreme_groups(entity)
-    highest_members = state.group_members(entity, highest_index)
-    lowest_members = state.group_members(entity, lowest_index)
-
-    positions = state.positions
-    lowest_positions = positions[lowest_members]
-    highest_positions = positions[highest_members]
-    # Iterating highest members by decreasing position, the first one with a
-    # lowest-group member below it is the worst-positioned member ranked
-    # above *any* lowest-group member (positions are unique).
-    eligible = highest_positions < lowest_positions.max()
-    if not eligible.any():
+    highest = state.group_positions(entity, highest_index)
+    lowest = state.group_positions(entity, lowest_index)
+    index = bisect_left(highest, lowest[-1])
+    if index == 0:
         return None
-    eligible_positions = highest_positions[eligible]
-    x_gh = int(highest_members[eligible][np.argmax(eligible_positions)])
-    candidates_below = lowest_members[lowest_positions > positions[x_gh]]
-    x_gl = int(candidates_below[np.argmin(positions[candidates_below])])
-    return x_gh, x_gl
+    position_gh = highest[index - 1]
+    position_gl = lowest[bisect_right(lowest, position_gh)]
+    order = state.order_list
+    return order[position_gh], order[position_gl]
 
 
-def _promotion_pair(
-    state: FairnessState, member: int, group_mask: np.ndarray
-) -> tuple[int, int] | None:
-    """Pair swapping ``member`` with the nearest non-member ranked above it.
+def _nearest_outside(positions: list[int], index: int, step: int) -> int:
+    """The nearest position past ``positions[index]`` that is not in ``positions``.
 
-    Early-exit backward scan: groups are interleaved in practice, so the
-    nearest non-member is almost always within a couple of positions.
+    Walks in direction ``step`` (-1 up the ranking, +1 down it).  The
+    group's members next to the start form a run of consecutive entries of
+    the sorted list, so the walk reads only that run.  The result may fall
+    off the ranking (-1 or n), which callers reject.
     """
-    order = state.order_list
-    for position in range(state.positions_list[member] - 1, -1, -1):
-        neighbour = order[position]
-        if not group_mask[neighbour]:
-            return neighbour, member
-    return None
-
-
-def _demotion_pair(
-    state: FairnessState, member: int, group_mask: np.ndarray
-) -> tuple[int, int] | None:
-    """Pair swapping ``member`` with the nearest non-member ranked below it."""
-    order = state.order_list
-    for position in range(state.positions_list[member] + 1, state.n_candidates):
-        neighbour = order[position]
-        if not group_mask[neighbour]:
-            return member, neighbour
-    return None
+    position = positions[index] + step
+    index += step
+    while 0 <= index < len(positions) and positions[index] == position:
+        index += step
+        position += step
+    return position
 
 
 def _single_step_pairs(
@@ -153,36 +151,30 @@ def _single_step_pairs(
     """Minimal corrective moves for ``entity`` as candidate-id swap pairs.
 
     Mirrors the reference :func:`_single_step_moves` exactly — same move set
-    in the same order — but selects candidates on the engine's position array
-    instead of building a :class:`Ranking` per move.
+    in the same order — but reads the members' positions from the ends of
+    the engine's sorted group lists instead of building a :class:`Ranking`
+    per move.
     """
     highest_index, lowest_index = state.extreme_groups(entity)
-    positions = state.positions
+    lowest = state.group_positions(entity, lowest_index)
+    highest = state.group_positions(entity, highest_index)
+    order = state.order_list
     pairs: list[tuple[int, int]] = []
 
-    lowest_members = state.group_members(entity, lowest_index)
-    lowest_mask = state.group_mask(entity, lowest_index)
-    promotion_candidates = (
-        lowest_members[np.argsort(positions[lowest_members])]
-        if exhaustive
-        else lowest_members[[np.argmin(positions[lowest_members])]]
-    )
-    for member in promotion_candidates:
-        pair = _promotion_pair(state, int(member), lowest_mask)
-        if pair is not None:
-            pairs.append(pair)
+    # Promote the best-placed lowest-group member (every member, best
+    # first, when exhaustive) above the nearest non-member.
+    for index in range(len(lowest)) if exhaustive else (0,):
+        target = _nearest_outside(lowest, index, -1)
+        if target >= 0:
+            pairs.append((order[target], order[lowest[index]]))
 
-    highest_members = state.group_members(entity, highest_index)
-    highest_mask = state.group_mask(entity, highest_index)
-    demotion_candidates = (
-        highest_members[np.argsort(-positions[highest_members])]
-        if exhaustive
-        else highest_members[[np.argmax(positions[highest_members])]]
-    )
-    for member in demotion_candidates:
-        pair = _demotion_pair(state, int(member), highest_mask)
-        if pair is not None:
-            pairs.append(pair)
+    # Demote the worst-placed highest-group member (every member, worst
+    # first, when exhaustive) below the nearest non-member.
+    last = len(highest) - 1
+    for index in range(last, -1, -1) if exhaustive else (last,):
+        target = _nearest_outside(highest, index, 1)
+        if target < state.n_candidates:
+            pairs.append((order[highest[index]], order[target]))
 
     return pairs
 
@@ -230,6 +222,8 @@ def make_mr_fair(
     if max_swaps is None:
         max_swaps = total_pairs(table.n_candidates) * (len(entities) + 1)
 
+    limits = thresholds.as_mapping(table)
+
     state = FairnessState(ranking, table)
     corrected_entities: list[str] = []
     tolerance = 1e-9
@@ -242,7 +236,7 @@ def make_mr_fair(
         violating = {
             entity: score
             for entity, score in scores.items()
-            if score > thresholds.threshold_for(entity) + tolerance
+            if score > limits[entity] + tolerance
         }
         if not violating:
             return MakeMRFairResult(
@@ -257,7 +251,7 @@ def make_mr_fair(
                 f"remaining violations: {violating}. The requested threshold "
                 "may be infeasible for this group structure."
             )
-        potential = _violation_potential(scores, thresholds)
+        potential = state.potential(thresholds)
 
         # Entity to correct: the least fair one among the violators (the
         # paper's choice).  Its Algorithm-2 swap is tried first; if that does
@@ -276,14 +270,20 @@ def make_mr_fair(
 
         # Accept the first move (paper swap preferred, then single steps in
         # decreasing order of entity violation) that makes global progress.
+        # Each move is tried on the state itself and swapped back when it is
+        # rejected (a swap is its own inverse).  The paper swap is accepted
+        # on almost every iteration, and applying it and reading the
+        # potential costs less than scoring it aside and then applying it.
         accepted: tuple[str, tuple[int, int]] | None = None
         accepted_potential = potential
         for entity, pair in _candidate_moves():
-            move_potential = state.potential_after_swap(*pair, thresholds)
+            state.apply_swap(*pair)
+            move_potential = state.potential(thresholds)
             if move_potential < potential - _PROGRESS_TOLERANCE:
                 accepted = (entity, pair)
                 accepted_potential = move_potential
                 break
+            state.apply_swap(*pair)
         if accepted is None:
             # The cheap pool stalled (typically right at a threshold boundary
             # where the obvious swap for one entity would push another over).
@@ -291,7 +291,8 @@ def make_mr_fair(
             # even a non-improving one, because escaping such boundary states
             # can require temporarily trading one entity's violation for
             # another's.  A stall counter bounds how long the search may go
-            # without setting a new best potential.
+            # without setting a new best potential.  These moves are scored
+            # aside and only the best one is applied.
             best_move_potential = float("inf")
             for entity in sorted(violating, key=violating.get, reverse=True):
                 for pair in _single_step_pairs(state, entity, exhaustive=True):
@@ -300,6 +301,8 @@ def make_mr_fair(
                         accepted = (entity, pair)
                         best_move_potential = move_potential
             accepted_potential = best_move_potential
+            if accepted is not None:
+                state.apply_swap(*accepted[1])
         if accepted is None:
             raise AggregationError(
                 f"Make-MR-Fair cannot make further progress (remaining "
@@ -320,9 +323,7 @@ def make_mr_fair(
                     "group structure"
                 )
 
-        entity, pair = accepted
-        state.apply_swap(*pair)
-        corrected_entities.append(entity)
+        corrected_entities.append(accepted[0])
         n_swaps += 1
 
 

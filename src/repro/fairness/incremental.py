@@ -35,12 +35,20 @@ entity, ``n`` = candidates):
   groups per entity;
 * :meth:`FairnessState.parity_after_swap` /
   :meth:`FairnessState.potential_after_swap` — O(Σ_E G);
-* :meth:`FairnessState.apply_swap` — O(Σ_E G);
+* :meth:`FairnessState.apply_swap` — O(Σ_E G), plus, for each entity whose
+  sorted group position lists are built, a bisect removal and insertion in
+  the two swapped candidates' groups (O(log n) search, O(group) list shift
+  in C);
+* :meth:`FairnessState.group_positions` — O(1) on a built list; the first
+  read after construction or a block move builds the entity's lists in
+  O(n);
 * :meth:`FairnessState.parity_after_moves` — O(n · Σ_E G) for the whole
   target row of one candidate, in a handful of array operations (plus an
   O(n · Σ_E G) prefix-count table, built once per order);
-* :meth:`FairnessState.apply_move` — O(window + Σ_E G);
-* :meth:`FairnessState.parity_scores` — O(E) (cached per-entity floats);
+* :meth:`FairnessState.apply_move` — O(window + Σ_E G); it drops the sorted
+  position lists;
+* :meth:`FairnessState.parity_scores` / :meth:`FairnessState.potential` —
+  O(E) (cached per-entity floats);
 * :meth:`FairnessState.to_ranking` — O(n).
 
 All parity values are **bit-identical** to
@@ -55,6 +63,8 @@ double as numpy's ``int64 / int64``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 import numpy as np
 
 from repro.core.candidates import CandidateTable
@@ -66,13 +76,19 @@ from repro.fairness.thresholds import FairnessThresholds
 __all__ = ["FairnessState"]
 
 
+def _replace_sorted(values: list[int], old: int, new: int) -> None:
+    """Replace ``old`` by ``new`` in the sorted list ``values``, keeping it sorted."""
+    del values[bisect_left(values, old)]
+    insort(values, new)
+
+
 class _EntityStats:
     """Per-entity group structure and incrementally maintained counts.
 
-    Group-indexed vectors (``favored``, ``denominators``, ``fpr``) are plain
-    Python lists: entities have at most a handful of groups, where list
-    arithmetic beats numpy dispatch by a wide margin in the per-move hot
-    path.  Candidate-indexed structures stay as numpy arrays.
+    Group-indexed vectors (``favored``, ``denominators``, ``fpr``) and the
+    sorted member positions are plain Python lists: entities have at most a
+    handful of groups, where list arithmetic beats numpy dispatch by a wide
+    margin in the per-move hot path.
     """
 
     __slots__ = (
@@ -81,8 +97,7 @@ class _EntityStats:
         "n_groups",
         "denominators",
         "favored",
-        "group_members",
-        "group_masks",
+        "group_positions",
         "parity",
         "fpr",
         "highest_index",
@@ -108,30 +123,28 @@ class _EntityStats:
         self.favored: list[int] = favored_mixed_pairs_by_group(
             ranking, membership, self.n_groups
         ).tolist()
-        self.group_members: tuple[np.ndarray, ...] = tuple(
-            np.asarray(group.members, dtype=np.int64) for group in groups
-        )
-        masks = []
-        for group in groups:
-            mask = np.zeros(n, dtype=bool)
-            mask[list(group.members)] = True
-            masks.append(mask)
-        self.group_masks: tuple[np.ndarray, ...] = tuple(masks)
+        # Sorted member positions per group, built on first use (see
+        # FairnessState.group_positions) and dropped by block moves.
+        self.group_positions: list[list[int]] | None = None
         self._refresh()
 
     def _refresh(self) -> None:
-        """Recompute the derived per-entity caches from the integer counts.
+        """Recompute every group's FPR from the integer counts, then the extremes."""
+        self.fpr = [
+            favored / denominator
+            for favored, denominator in zip(self.favored, self.denominators)
+        ]
+        self._refresh_extremes()
+
+    def _refresh_extremes(self) -> None:
+        """Recompute the parity and the extreme groups from the cached FPRs.
 
         The divisions and max/min reductions produce bit-identical values to
         :func:`repro.fairness.fpr.fpr_vector` and
         :func:`repro.fairness.parity.arp` (correctly rounded division of
         exact integers; first-occurrence argmax/argmin tie-breaking).
         """
-        fpr = [
-            favored / denominator
-            for favored, denominator in zip(self.favored, self.denominators)
-        ]
-        self.fpr = fpr
+        fpr = self.fpr
         highest = max(fpr)
         lowest = min(fpr)
         self.parity = highest - lowest
@@ -139,37 +152,56 @@ class _EntityStats:
         self.lowest_index = fpr.index(lowest)
 
     def parity_after(self, group_u: int, group_v: int, gap: int) -> float:
-        """ARP after moving ``gap`` favored pairs from ``group_u`` to ``group_v``."""
+        """ARP after moving ``gap`` favored pairs from ``group_u`` to ``group_v``.
+
+        Only the two groups' FPRs change; the others are read from the cache.
+        """
         if group_u == group_v:
             return self.parity
         favored = self.favored
         denominators = self.denominators
-        first_count = favored[0]
-        if group_u == 0:
-            first_count -= gap
-        elif group_v == 0:
-            first_count += gap
-        highest = lowest = first_count / denominators[0]
-        for group in range(1, self.n_groups):
-            count = favored[group]
-            if group == group_u:
-                count -= gap
-            elif group == group_v:
-                count += gap
-            score = count / denominators[group]
-            if score > highest:
-                highest = score
-            elif score < lowest:
-                lowest = score
-        return highest - lowest
+        fpr = self.fpr.copy()
+        fpr[group_u] = (favored[group_u] - gap) / denominators[group_u]
+        fpr[group_v] = (favored[group_v] + gap) / denominators[group_v]
+        return max(fpr) - min(fpr)
 
-    def apply(self, group_u: int, group_v: int, gap: int) -> None:
-        """Commit a swap's favored-count delta and refresh the derived caches."""
+    def apply(
+        self, group_u: int, group_v: int, upper_position: int, lower_position: int
+    ) -> None:
+        """Commit a swap of the candidates at two positions.
+
+        The upper candidate (group ``group_u``) falls from ``upper_position``
+        to ``lower_position`` and the lower one rises the other way.  Updates
+        the favored counts, the derived caches and, when built, the two
+        groups' sorted position lists.
+        """
         if group_u == group_v:
             return
-        self.favored[group_u] -= gap
-        self.favored[group_v] += gap
-        self._refresh()
+        gap = lower_position - upper_position
+        favored = self.favored
+        denominators = self.denominators
+        favored[group_u] -= gap
+        favored[group_v] += gap
+        self.fpr[group_u] = favored[group_u] / denominators[group_u]
+        self.fpr[group_v] = favored[group_v] / denominators[group_v]
+        self._refresh_extremes()
+        if self.group_positions is not None:
+            _replace_sorted(self.group_positions[group_u], upper_position, lower_position)
+            _replace_sorted(self.group_positions[group_v], lower_position, upper_position)
+
+    def sorted_positions(self, order: list[int]) -> list[list[int]]:
+        """Every group's member positions in increasing order.
+
+        Built from ``order`` in one pass on first use; :meth:`apply` keeps
+        the lists sorted and a block move drops them.
+        """
+        if self.group_positions is None:
+            lists: list[list[int]] = [[] for _ in range(self.n_groups)]
+            membership = self.membership
+            for position, candidate in enumerate(order):
+                lists[membership[candidate]].append(position)
+            self.group_positions = lists
+        return self.group_positions
 
     def move_deltas(self, candidate: int, window: list[int], falling: bool) -> list[int]:
         """Favored-count deltas of a block move of ``candidate`` past ``window``.
@@ -203,7 +235,7 @@ class _EntityStats:
 class FairnessState:
     """Mutable ranking state with incrementally maintained MANI-Rank statistics.
 
-    Holds the position/order arrays of a ranking plus, for every fairness
+    Holds the order and positions of a ranking plus, for every fairness
     entity (each protected attribute and the intersection), the per-group
     favored-mixed-pair counts.  Swap-based search algorithms use
     :meth:`parity_after_swap` / :meth:`potential_after_swap` to evaluate a
@@ -213,7 +245,7 @@ class FairnessState:
     Parameters
     ----------
     ranking:
-        Initial ranking (not modified; its arrays are copied).
+        Initial ranking (not modified; its arrays are copied to lists).
     table:
         Candidate table defining the protected attributes and intersection.
     """
@@ -226,36 +258,22 @@ class FairnessState:
             )
         self._table = table
         self._n = table.n_candidates
-        self._order = ranking.order.astype(np.int64, copy=True)
-        self._positions = ranking.positions.astype(np.int64, copy=True)
-        # Python-list mirrors of the two permutation arrays: the per-move
-        # neighbour scans and gap lookups are scalar reads, which cost ~3x
-        # less on lists than on numpy arrays.
-        self._order_list: list[int] = self._order.tolist()
-        self._positions_list: list[int] = self._positions.tolist()
+        # The permutation is kept as Python lists only: every per-move read
+        # and write is a scalar one, which costs several times less on a
+        # list than on a numpy array.
+        self._order_list: list[int] = ranking.order.tolist()
+        self._positions_list: list[int] = ranking.positions.tolist()
         self._entities = table.all_fairness_entities()
         self._stats = [
             _EntityStats(entity, table, ranking) for entity in self._entities
         ]
         self._stats_by_name = {stats.name: stats for stats in self._stats}
-        # Move queries lay every entity's groups side by side in one table:
-        # entity i owns the columns from _block_starts[i] up to the next
-        # start, and _group_columns[c, i] is candidate c's column there.
-        sizes = [stats.n_groups for stats in self._stats]
-        self._block_starts = np.cumsum([0, *sizes[:-1]])
-        self._group_columns = np.stack(
-            [
-                np.asarray(stats.membership, dtype=np.int64) + start
-                for stats, start in zip(self._stats, self._block_starts)
-            ],
-            axis=1,
-        )
-        self._denominator_row = np.asarray(
-            [value for stats in self._stats for value in stats.denominators],
-            dtype=np.int64,
-        )
-        self._targets = np.arange(self._n, dtype=np.int64)
+        self._move_layout_cache: tuple[np.ndarray, ...] | None = None
         self._move_tables: tuple[np.ndarray, np.ndarray] | None = None
+        # Per-entity thresholds, in entity order, of the last
+        # FairnessThresholds passed to potential or potential_after_swap.
+        self._limits_source: FairnessThresholds | None = None
+        self._limits_list: list[float] = []
 
     # ------------------------------------------------------------------
     # accessors
@@ -276,28 +294,13 @@ class FairnessState:
         return self._entities
 
     @property
-    def order(self) -> np.ndarray:
-        """Current candidate order, best to worst (live internal array)."""
-        return self._order
-
-    @property
     def order_list(self) -> list[int]:
         """Current candidate order as a live plain-int list (scalar-read fast path)."""
         return self._order_list
 
-    @property
-    def positions(self) -> np.ndarray:
-        """Current candidate -> position mapping (live internal array)."""
-        return self._positions
-
-    @property
-    def positions_list(self) -> list[int]:
-        """Current candidate -> position list (scalar-read fast path)."""
-        return self._positions_list
-
     def to_ranking(self) -> Ranking:
         """Materialise the current state as an immutable :class:`Ranking`."""
-        return Ranking(self._order.copy(), validate=False)
+        return Ranking(np.asarray(self._order_list, dtype=np.int64), validate=False)
 
     def favored_counts(self, entity: str) -> np.ndarray:
         """Favored-mixed-pair counts per group of ``entity`` (fresh int64 array)."""
@@ -321,13 +324,17 @@ class FairnessState:
         stats = self._stats_by_name[entity]
         return stats.highest_index, stats.lowest_index
 
-    def group_members(self, entity: str, group_index: int) -> np.ndarray:
-        """Member ids of group ``group_index`` of ``entity`` (cached array)."""
-        return self._stats_by_name[entity].group_members[group_index]
+    def group_positions(self, entity: str, group_index: int) -> list[int]:
+        """Positions of the members of one group of ``entity``, in increasing order.
 
-    def group_mask(self, entity: str, group_index: int) -> np.ndarray:
-        """Boolean candidate-membership mask of one group (cached array)."""
-        return self._stats_by_name[entity].group_masks[group_index]
+        A live list that callers must not modify: built from the current
+        order on first use, kept sorted by :meth:`apply_swap` (a bisect
+        removal and insertion per affected group) and rebuilt after
+        :meth:`apply_move`.
+        """
+        return self._stats_by_name[entity].sorted_positions(self._order_list)[
+            group_index
+        ]
 
     # ------------------------------------------------------------------
     # parity queries
@@ -381,6 +388,19 @@ class FairnessState:
             for stats in self._stats
         }
 
+    def potential(self, thresholds: FairnessThresholds) -> float:
+        """Total threshold violation of the current ranking.
+
+        Matches ``_violation_potential(parity_scores(), thresholds)`` exactly
+        (same per-entity summation order and float arithmetic).
+        """
+        total = 0.0
+        for stats, limit in zip(self._stats, self._limits(thresholds)):
+            excess = stats.parity - limit
+            if excess > 0.0:
+                total += excess
+        return total
+
     def potential_after_swap(
         self, first: int, second: int, thresholds: FairnessThresholds
     ) -> float:
@@ -393,11 +413,11 @@ class FairnessState:
         gap = abs(positions[first] - positions[second])
         upper, lower = self._oriented(first, second)
         total = 0.0
-        for stats in self._stats:
+        for stats, limit in zip(self._stats, self._limits(thresholds)):
             parity = stats.parity_after(
                 stats.membership[upper], stats.membership[lower], gap
             )
-            excess = parity - thresholds.threshold_for(stats.name)
+            excess = parity - limit
             if excess > 0.0:
                 total += excess
         return total
@@ -421,9 +441,9 @@ class FairnessState:
         :meth:`KemenyDeltaEngine.move_deltas <repro.aggregation.incremental.KemenyDeltaEngine.move_deltas>`
         for the fairness-constrained insertion search.
         """
+        block_starts, group_columns, denominator_row, targets = self._move_layout()
         prefix, favored = self._current_move_tables()
         position = self._positions_list[candidate]
-        targets = self._targets
         falling = targets > position
         # A falling move passes order[position + 1 : t + 1]; a rising one
         # passes order[t : position], and its deltas are negated.  Shifting
@@ -432,10 +452,10 @@ class FairnessState:
         deltas = prefix[targets + falling] - prefix[position + falling]
         # The candidate's own group trades its in-group count for minus the
         # mixed pairs: count - |window| (falling) or its negation (rising).
-        deltas[:, self._group_columns[candidate]] -= (targets - position)[:, np.newaxis]
-        scores = (favored + deltas) / self._denominator_row
-        parity = np.maximum.reduceat(scores, self._block_starts, axis=1)
-        parity -= np.minimum.reduceat(scores, self._block_starts, axis=1)
+        deltas[:, group_columns[candidate]] -= (targets - position)[:, np.newaxis]
+        scores = (favored + deltas) / denominator_row
+        parity = np.maximum.reduceat(scores, block_starts, axis=1)
+        parity -= np.minimum.reduceat(scores, block_starts, axis=1)
         return {name: parity[:, index] for index, name in enumerate(self._entities)}
 
     # ------------------------------------------------------------------
@@ -445,22 +465,25 @@ class FairnessState:
         """Swap two candidates and update every maintained statistic.
 
         O(Σ n_groups): the favored-count deltas touch at most two groups per
-        entity and the order/position update is O(1).
+        entity and the order/position update is O(1).  Built sorted position
+        lists get one bisect removal and insertion in each of the two groups.
         """
         positions = self._positions_list
-        gap = abs(positions[first] - positions[second])
         upper, lower = self._oriented(first, second)
+        upper_position = positions[upper]
+        lower_position = positions[lower]
         for stats in self._stats:
-            stats.apply(stats.membership[upper], stats.membership[lower], gap)
+            stats.apply(
+                stats.membership[upper],
+                stats.membership[lower],
+                upper_position,
+                lower_position,
+            )
         self._move_tables = None
         position_first = positions[first]
         position_second = positions[second]
-        self._order[position_first] = second
-        self._order[position_second] = first
         self._order_list[position_first] = second
         self._order_list[position_second] = first
-        self._positions[first] = position_second
-        self._positions[second] = position_first
         positions[first] = position_second
         positions[second] = position_first
 
@@ -468,13 +491,15 @@ class FairnessState:
         """Move ``candidate`` to ``new_position`` and update every statistic.
 
         O(window + Σ n_groups); a no-op when the candidate already sits at
-        the target position.
+        the target position.  The sorted position lists are dropped and
+        rebuilt on their next read.
         """
         window, falling = self._move_window(candidate, new_position)
         if not window:
             return
         for stats in self._stats:
             stats.apply_deltas(stats.move_deltas(candidate, window, falling))
+            stats.group_positions = None
         self._move_tables = None
         order = self._order_list
         positions = self._positions_list
@@ -483,15 +508,45 @@ class FairnessState:
         order.insert(new_position, candidate)
         low = min(old_position, new_position)
         high = max(old_position, new_position)
-        self._order[low : high + 1] = order[low : high + 1]
         for position in range(low, high + 1):
-            moved = order[position]
-            positions[moved] = position
-            self._positions[moved] = position
+            positions[order[position]] = position
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _move_layout(self) -> tuple[np.ndarray, ...]:
+        """Every entity's groups side by side in one table, for move queries.
+
+        Returns ``(block_starts, group_columns, denominator_row, targets)``:
+        entity i owns the columns from ``block_starts[i]`` up to the next
+        start, ``group_columns[c, i]`` is candidate c's column there,
+        ``denominator_row`` holds each column's FPR denominator and
+        ``targets`` the positions 0..n-1.  Built on the first move query;
+        Make-MR-Fair and the adjacent repair never make one.
+        """
+        if self._move_layout_cache is None:
+            sizes = [stats.n_groups for stats in self._stats]
+            block_starts = np.cumsum([0, *sizes[:-1]])
+            group_columns = np.stack(
+                [
+                    np.asarray(stats.membership, dtype=np.int64) + start
+                    for stats, start in zip(self._stats, block_starts)
+                ],
+                axis=1,
+            )
+            denominator_row = np.asarray(
+                [value for stats in self._stats for value in stats.denominators],
+                dtype=np.int64,
+            )
+            targets = np.arange(self._n, dtype=np.int64)
+            self._move_layout_cache = (
+                block_starts,
+                group_columns,
+                denominator_row,
+                targets,
+            )
+        return self._move_layout_cache
+
     def _current_move_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Prefix group counts along the current order, and the favored row.
 
@@ -502,8 +557,9 @@ class FairnessState:
         """
         if self._move_tables is None:
             n = self._n
-            counts = np.zeros((n, self._denominator_row.size), dtype=np.int64)
-            counts[self._targets[:, np.newaxis], self._group_columns[self._order]] = 1
+            _, group_columns, denominator_row, targets = self._move_layout()
+            counts = np.zeros((n, denominator_row.size), dtype=np.int64)
+            counts[targets[:, np.newaxis], group_columns[self._order_list]] = 1
             prefix = np.zeros((n + 1, counts.shape[1]), dtype=np.int64)
             np.cumsum(counts, axis=0, out=prefix[1:])
             favored = np.asarray(
@@ -528,6 +584,15 @@ class FairnessState:
         if new_position > old_position:
             return self._order_list[old_position + 1 : new_position + 1], True
         return self._order_list[new_position:old_position], False
+
+    def _limits(self, thresholds: FairnessThresholds) -> list[float]:
+        """Per-entity thresholds in entity order, looked up once per object."""
+        if thresholds is not self._limits_source:
+            self._limits_list = [
+                thresholds.threshold_for(stats.name) for stats in self._stats
+            ]
+            self._limits_source = thresholds
+        return self._limits_list
 
     def _oriented(self, first: int, second: int) -> tuple[int, int]:
         """Return ``(upper, lower)`` with ``upper`` the better-ranked candidate."""

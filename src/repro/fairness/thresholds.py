@@ -65,9 +65,10 @@ class FairnessThresholds:
     def coerce(cls, delta: "FairnessThresholds | float | Mapping[str, float]") -> "FairnessThresholds":
         """Build thresholds from a scalar, a mapping, or an existing instance.
 
-        A scalar is the common case (the paper's single ``Δ``).  A mapping must
-        provide a ``"default"`` key or cover every entity explicitly; here we
-        require a ``"default"`` key for simplicity unless the mapping is empty.
+        A scalar is the common case (the paper's single ``Δ``).  A mapping
+        gives per-entity thresholds; its optional ``"default"`` key applies
+        to every entity it does not name, and without that key those
+        entities get 1.0, which leaves them unconstrained.
         """
         if isinstance(delta, cls):
             return delta

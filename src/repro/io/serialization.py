@@ -33,8 +33,15 @@ __all__ = [
 ]
 
 
+#: Exact types :func:`to_jsonable` returns unchanged without further checks
+#: (numpy scalars are other types, even where they subclass these).
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def to_jsonable(value: Any) -> Any:
     """Recursively convert numpy types and library objects into JSON-safe values."""
+    if type(value) in _JSON_SCALARS:
+        return value
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):

@@ -90,6 +90,22 @@ class TestDeltaQueries:
                 order[position], order[position + 1]
             )
 
+    def test_adjacent_margins_match_point_reads(self, tiny_rankings):
+        engine = KemenyDeltaEngine(tiny_rankings, Ranking([4, 1, 0, 2, 5, 3]))
+
+        def point_reads():
+            order = engine.order_list
+            return [engine.margin(order[p], order[p + 1]) for p in range(5)]
+
+        assert engine.adjacent_margins() == point_reads()
+        # The gather follows the current order through every kind of update.
+        engine.apply_adjacent_swap(2)
+        assert engine.adjacent_margins() == point_reads()
+        engine.apply_move(0, 5)
+        assert engine.adjacent_margins() == point_reads()
+        engine.sweep_adjacent()
+        assert engine.adjacent_margins() == point_reads()
+
     def test_delta_move_matches_materialised_move(self, tiny_rankings):
         ranking = Ranking([0, 3, 5, 1, 2, 4])
         engine = KemenyDeltaEngine(tiny_rankings, ranking)
@@ -181,6 +197,7 @@ class TestMoveEdgeCases:
         assert engine.apply_move(0, 0) == 0.0
         assert engine.move_deltas(0).tolist() == [0.0]
         assert engine.best_move(0) == (0.0, 0)
+        assert engine.adjacent_margins() == []
         assert not engine.sweep_adjacent()
         assert engine.to_ranking() == Ranking([0])
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -47,6 +51,29 @@ class TestRankingSetFingerprint:
             == fingerprint_ranking_set(from_rankings)
             == fingerprint_ranking_set(from_matrix)
         )
+
+    def test_each_set_is_hashed_once_while_it_lives(self, monkeypatch):
+        module = importlib.import_module("repro.cache.fingerprint")
+        original = module._digest
+        digests = []
+        monkeypatch.setattr(
+            module, "_digest", lambda data: digests.append(data) or original(data)
+        )
+        rankings = RankingSet.from_orders(ORDERS)
+        first = fingerprint_ranking_set(rankings)
+        # One digest per ranking, then one over the sorted tokens.
+        assert len(digests) == len(ORDERS) + 1
+        assert fingerprint_ranking_set(rankings) == first
+        assert len(digests) == len(ORDERS) + 1
+        # An equal profile in a new set is hashed afresh, to the same value.
+        assert fingerprint_ranking_set(RankingSet.from_orders(ORDERS)) == first
+        assert len(digests) == 2 * (len(ORDERS) + 1)
+        # The memo holds its sets weakly: dropping a set frees it.
+        assert rankings in module._PROFILE_FINGERPRINTS
+        alive = weakref.ref(rankings)
+        del rankings
+        gc.collect()
+        assert alive() is None
 
     def test_labels_do_not_affect_fingerprint(self):
         plain = RankingSet.from_orders(ORDERS)

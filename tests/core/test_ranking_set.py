@@ -162,6 +162,36 @@ class TestPrecedenceMatrix:
         )
 
     @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize(
+        ("n", "position_type"), [(256, np.uint8), (257, np.uint16)]
+    )
+    def test_precedence_matrix_matches_naive_at_both_position_widths(
+        self, monkeypatch, n, position_type, weighted
+    ):
+        # The unweighted kernel compares positions in the narrowest type that
+        # holds n - 1: n = 256 is the widest uint8 case, n = 257 needs uint16.
+        assert np.min_scalar_type(n - 1) == position_type
+        rankings = self._random_weighted_set(np.random.default_rng(n), n, 3)
+        # Two rankings per chunk: the accumulation spans two chunks.
+        monkeypatch.setattr(RankingSet, "_CHUNK_BYTE_BUDGET", 2 * n * n)
+        assert np.array_equal(
+            rankings.precedence_matrix(weighted=weighted),
+            self._naive_precedence(rankings, weighted),
+        )
+
+    def test_precedence_counts_stay_exact_past_the_int16_bound(self):
+        # More identical rankings than an int16 can count: the kernel caps a
+        # chunk at 32,767 rankings, so no chunk's int16 sum can wrap.
+        m = RankingSet._INT16_ROWS + 3
+        rankings = RankingSet.from_position_matrix(
+            np.tile(np.array([[2, 0, 1]]), (m, 1))
+        )
+        # Candidate order 1, 2, 0: W[a, b] = m when b precedes a.
+        expected = np.zeros((3, 3))
+        expected[0, 1] = expected[0, 2] = expected[2, 1] = m
+        assert np.array_equal(rankings.precedence_matrix(), expected)
+
+    @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("seed", [62, 63])
     def test_patched_precedence_matches_naive_triple_loop(
         self, monkeypatch, seed, weighted
@@ -237,15 +267,27 @@ class TestManipulation:
         with pytest.raises(RankingError):
             tiny_rankings.subset([])
 
-    def test_extended_with(self, tiny_rankings):
+    def test_with_added_appends_labelled_rankings(self, tiny_rankings):
         extra = Ranking([5, 4, 3, 2, 1, 0])
-        extended = tiny_rankings.extended_with([extra], labels=["reverse"])
+        extended = tiny_rankings.with_added([extra], labels=["reverse"])
         assert extended.n_rankings == 4
         assert extended.labels[-1] == "reverse"
 
-    def test_extended_with_default_labels(self, tiny_rankings):
-        extended = tiny_rankings.extended_with([Ranking([0, 1, 2, 3, 4, 5])])
+    def test_with_added_default_labels(self, tiny_rankings):
+        extended = tiny_rankings.with_added([Ranking([0, 1, 2, 3, 4, 5])])
         assert extended.labels[-1] == "r4"
+
+    def test_with_added_keeps_weights(self, tiny_rankings):
+        weighted = tiny_rankings.with_weights([0.5, 2.0, 1.25])
+        extended = weighted.with_added([Ranking([0, 1, 2, 3, 4, 5])], weights=[3.0])
+        assert extended.weights.tolist() == [0.5, 2.0, 1.25, 3.0]
+        # Without explicit weights the new rankings weigh 1; the old keep theirs.
+        assert weighted.with_added([Ranking([5, 4, 3, 2, 1, 0])]).weights.tolist() == [
+            0.5,
+            2.0,
+            1.25,
+            1.0,
+        ]
 
     def test_to_order_lists(self, tiny_rankings):
         orders = tiny_rankings.to_order_lists()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,59 @@ class TestIncrementalReferenceEquivalence:
         ranking = Ranking.random(n, rng)
         delta = float(rng.choice([0.15, 0.3, 0.5]))
         self._assert_identical(ranking, table, delta)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_identical_under_per_entity_thresholds(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 24))
+        values = [["x", "y"][int(v)] for v in rng.integers(0, 2, n - 2)] + ["x", "y"]
+        rng.shuffle(values)
+        table = CandidateTable(
+            {"A": values, "B": [["u", "v"][i % 2] for i in range(n)]}
+        )
+        ranking = Ranking.random(n, rng)
+        # A random subset of the entities gets its own threshold; the rest
+        # take the mapping's default, or 1.0 when it has none.
+        delta = {
+            entity: float(rng.choice([0.15, 0.3, 0.5, 1.0]))
+            for entity in table.all_fairness_entities()
+            if rng.random() < 0.7
+        }
+        if rng.random() < 0.5:
+            delta["default"] = float(rng.choice([0.2, 0.4]))
+        self._assert_identical(ranking, table, delta)
+
+    @pytest.mark.parametrize(
+        ("attribute", "order"),
+        [
+            # Reversing the fallback's promotion order changes the result.
+            ("xyyxyyy", [2, 0, 1, 3, 5, 6, 4]),
+            # Reversing its demotion order changes the result.
+            ("yyyxxyy", [6, 0, 5, 3, 2, 1, 4]),
+        ],
+    )
+    def test_identical_through_the_exhaustive_fallback(
+        self, monkeypatch, attribute, order
+    ):
+        # Fixed inputs on which the cheap move pool stalls, so the engine
+        # picks the best move of the exhaustive pool.  Moves tie there, so
+        # the pool's order decides the swap, and the reference pins it.
+        module = importlib.import_module("repro.fair.make_mr_fair")
+        original = module._single_step_pairs
+        exhaustive_calls = []
+
+        def spy(state, entity, exhaustive=False):
+            if exhaustive:
+                exhaustive_calls.append(entity)
+            return original(state, entity, exhaustive)
+
+        monkeypatch.setattr(module, "_single_step_pairs", spy)
+        table = CandidateTable(
+            {"A": list(attribute), "B": [["u", "v"][i % 2] for i in range(7)]}
+        )
+        self._assert_identical(Ranking(order), table, 0.3)
+        assert exhaustive_calls == ["intersection"]
 
 
 class TestConvergenceProperties:

@@ -116,12 +116,36 @@ class TestSwapQueries:
     def test_potential_after_swap_matches_violation_potential(self, tiny_table):
         from repro.fair.make_mr_fair import _violation_potential
 
-        thresholds = FairnessThresholds(0.2, {"Race": 0.05})
         state = FairnessState(Ranking([0, 3, 5, 1, 2, 4]), tiny_table)
-        for first, second in [(0, 4), (1, 2), (0, 5), (3, 4)]:
-            assert state.potential_after_swap(first, second, thresholds) == (
-                _violation_potential(state.parity_after_swap(first, second), thresholds)
+        # Alternating two threshold objects: the per-entity lookups are
+        # cached per object and must follow the object passed in.
+        for thresholds in [
+            FairnessThresholds(0.2, {"Race": 0.05}),
+            FairnessThresholds(0.05, {"Gender": 0.3}),
+            FairnessThresholds(0.2, {"Race": 0.05}),
+        ]:
+            assert state.potential(thresholds) == _violation_potential(
+                state.parity_scores(), thresholds
             )
+            for first, second in [(0, 4), (1, 2), (0, 5), (3, 4)]:
+                after = state.potential_after_swap(first, second, thresholds)
+                assert after == _violation_potential(
+                    state.parity_after_swap(first, second), thresholds
+                )
+                # Make-MR-Fair tries moves by applying them and swapping
+                # back: the applied potential must equal the one scored aside.
+                state.apply_swap(first, second)
+                assert state.potential(thresholds) == after
+                state.apply_swap(first, second)
+
+    def test_violation_potential_sums_left_to_right(self):
+        from repro.fair.make_mr_fair import _violation_potential
+
+        # Left-to-right addition gives 0.6000000000000001 here, and so does
+        # FairnessState.potential; a compensated sum (the builtin ``sum`` on
+        # Python 3.12+) gives 0.6.
+        scores = {"A": 0.1, "B": 0.2, "intersection": 0.3}
+        assert _violation_potential(scores, FairnessThresholds(0.0)) == (0.1 + 0.2) + 0.3
 
     def test_extreme_groups_match_fpr_argminmax(self, tiny_table):
         state = FairnessState(Ranking([4, 1, 0, 2, 5, 3]), tiny_table)
@@ -295,3 +319,35 @@ class TestSwapSequences:
         assert state.to_ranking() == ranking
         for entity, counts in reference.items():
             assert np.array_equal(state.favored_counts(entity), counts)
+
+
+class TestGroupPositions:
+    @staticmethod
+    def _assert_lists_match_positions(state: FairnessState, table: CandidateTable) -> None:
+        positions = state.to_ranking().positions
+        for entity in table.all_fairness_entities():
+            for index, group in enumerate(table.groups(entity)):
+                assert state.group_positions(entity, index) == sorted(
+                    positions[list(group.members)].tolist()
+                )
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sorted_lists_track_random_swaps_and_moves(self, seed):
+        """After any mix of swaps and block moves, each group's list equals
+        the sorted positions of its members.  Reading the lists builds them,
+        so checking at random steps covers both lists kept up to date by
+        swaps and lists rebuilt after a move."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 30))
+        table = _random_table(rng, n, n_attributes=int(rng.integers(1, 4)))
+        state = FairnessState(Ranking.random(n, rng), table)
+        for _ in range(30):
+            if rng.random() < 0.7:
+                first, second = rng.choice(n, size=2, replace=False)
+                state.apply_swap(int(first), int(second))
+            else:
+                state.apply_move(int(rng.integers(0, n)), int(rng.integers(0, n)))
+            if rng.random() < 0.3:
+                self._assert_lists_match_positions(state, table)
+        self._assert_lists_match_positions(state, table)

@@ -26,6 +26,8 @@ class TestToJsonable:
     def test_numpy_scalars(self):
         assert to_jsonable(np.int64(3)) == 3
         assert to_jsonable(np.float64(0.5)) == 0.5
+        # float64 subclasses float, yet it comes back as a plain float.
+        assert type(to_jsonable(np.float64(0.5))) is float
 
     def test_numpy_arrays(self):
         assert to_jsonable(np.array([1, 2])) == [1, 2]
@@ -39,6 +41,8 @@ class TestToJsonable:
     def test_plain_values_untouched(self):
         assert to_jsonable("text") == "text"
         assert to_jsonable(3) == 3
+        for value in (True, None, 0.25):
+            assert to_jsonable(value) is value
 
 
 class TestRoundTrips:
