@@ -11,7 +11,7 @@ Two properties matter for correctness:
 
 * **Construction-order invariance.**  Every aggregation method treats the
   base rankings as a weighted multiset, so :func:`fingerprint_ranking_set`
-  hashes the *sorted* per-ranking digests: building the same profile in a
+  hashes the *sorted* per-ranking tokens: building the same profile in a
   different ranking order (or through a different constructor) produces the
   identical fingerprint.  Per-ranking labels are cosmetic and excluded.
 * **Spelling invariance.**  Method names are canonicalised through the
@@ -23,11 +23,13 @@ Two properties matter for correctness:
 from __future__ import annotations
 
 import hashlib
-import weakref
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.candidates import CandidateTable
+from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
 from repro.fair.registry import canonical_fair_method_name
 from repro.fairness.thresholds import FairnessThresholds
@@ -39,6 +41,8 @@ __all__ = [
     "fingerprint_candidate_table",
     "fingerprint_ranking_set",
     "fingerprint_thresholds",
+    "profile_digest",
+    "profile_tokens",
 ]
 
 
@@ -46,39 +50,51 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-#: Fingerprints of live ranking sets, so a set is hashed once however often
-#: it is keyed (the in-process service answering repeated queries on one
-#: profile).  A RankingSet never changes after construction, so an entry
-#: holds for its set's lifetime, and the weak keys drop it with the set.
-#: Entries are pure functions of their keys: no caller can observe another's.
-_PROFILE_FINGERPRINTS: weakref.WeakKeyDictionary[RankingSet, str] = (
-    weakref.WeakKeyDictionary()
-)
+def profile_tokens(
+    rankings: Sequence[Ranking], weights: Sequence[float] | np.ndarray
+) -> list[bytes]:
+    """One fixed-width byte token per ranking, in the given order.
+
+    A token is the ranking's candidate order in the narrowest little-endian
+    unsigned type that holds ``n - 1`` (one byte per candidate up to
+    n = 256), followed by its weight as a little-endian float64.  Every
+    token of an ``n``-candidate profile has the same width, so joining them
+    is unambiguous.  The tokens are built from one ``k x n`` order matrix,
+    with no hashing per ranking.
+    """
+    k = len(rankings)
+    n = rankings[0].n_candidates
+    width = np.dtype(np.min_scalar_type(n - 1)).newbyteorder("<")
+    orders = np.concatenate([ranking.order for ranking in rankings])
+    rows = np.concatenate(
+        [
+            orders.astype(width).view(np.uint8).reshape(k, -1),
+            np.asarray(weights, dtype="<f8").view(np.uint8).reshape(k, 8),
+        ],
+        axis=1,
+    )
+    data = rows.tobytes()
+    step = rows.shape[1]
+    return [data[start : start + step] for start in range(0, len(data), step)]
+
+
+def profile_digest(n_candidates: int, sorted_tokens: list[bytes]) -> str:
+    """SHA-256 of the candidate count and the sorted :func:`profile_tokens`."""
+    return _digest(f"n={n_candidates};".encode() + b"".join(sorted_tokens))
 
 
 def fingerprint_ranking_set(rankings: RankingSet) -> str:
     """SHA-256 fingerprint of the weighted multiset of base rankings.
 
-    Each ranking contributes a digest of its candidate order (raw little-endian
-    int64 bytes — no JSON encode of ``m*n`` integers on the hot path) and its
-    weight; the per-ranking digests are sorted before the final hash, so the
-    fingerprint is invariant to the construction order of the set.  Labels are
-    excluded: they never influence an aggregation result.  Computed once per
-    set object and remembered while the set lives.
+    Each ranking contributes one :func:`profile_tokens` token (its order in
+    the narrowest unsigned type, then its weight); the tokens are sorted
+    before one hash over all of them, so the fingerprint is invariant to the
+    construction order of the set.  Labels are excluded: they never
+    influence an aggregation result.
     """
-    fingerprint = _PROFILE_FINGERPRINTS.get(rankings)
-    if fingerprint is None:
-        tokens = sorted(
-            _digest(
-                ranking.order.astype("<i8", copy=False).tobytes()
-                + repr(float(weight)).encode()
-            )
-            for ranking, weight in zip(rankings.rankings, rankings.weights)
-        )
-        body = f"n={rankings.n_candidates};" + ";".join(tokens)
-        fingerprint = _digest(body.encode())
-        _PROFILE_FINGERPRINTS[rankings] = fingerprint
-    return fingerprint
+    tokens = profile_tokens(rankings.rankings, rankings.weights)
+    tokens.sort()
+    return profile_digest(rankings.n_candidates, tokens)
 
 
 def fingerprint_candidate_table(table: CandidateTable) -> str:

@@ -92,24 +92,7 @@ def compute_consensus_payload(
         "fairness": fairness_row(consensus, table),
         "diagnostics": result.diagnostics,
     }
-    return _share_strings(json.loads(canonical_json(payload)), {})
-
-
-def _share_strings(value: object, shared: dict[str, str]) -> object:
-    """``value`` with every repeated string replaced by one shared object.
-
-    The JSON parse-back builds a fresh string per occurrence, and
-    ``corrected_entities`` repeats a few entity names once per Make-MR-Fair
-    swap.  Sharing them shrinks a cached n=200 payload about 3.5x (107 to
-    30 KiB at ~1,360 swaps) without changing any value.
-    """
-    if type(value) is str:
-        return shared.setdefault(value, value)
-    if type(value) is list:
-        return [_share_strings(item, shared) for item in value]
-    if type(value) is dict:
-        return {key: _share_strings(item, shared) for key, item in value.items()}
-    return value
+    return json.loads(canonical_json(payload))
 
 
 class ConsensusCacheService:

@@ -120,7 +120,7 @@ class Ranking:
     @property
     def n_candidates(self) -> int:
         """Number of candidates in the ranking."""
-        return len(self._order)
+        return int(self._order.shape[0])
 
     def __len__(self) -> int:
         return self.n_candidates

@@ -44,28 +44,18 @@ class RankingSet:
         rankings = list(rankings)
         if not rankings:
             raise RankingError("a ranking set must contain at least one ranking")
-        # Streaming patches rebuild a set per update, so the checks run as
-        # one pass each and find the offending index only on failure.
-        if not all(isinstance(ranking, Ranking) for ranking in rankings):
-            index, ranking = next(
-                (index, ranking)
-                for index, ranking in enumerate(rankings)
-                if not isinstance(ranking, Ranking)
-            )
-            raise RankingError(
-                f"item {index} is not a Ranking (got {type(ranking).__name__})"
-            )
+        for index, ranking in enumerate(rankings):
+            if not isinstance(ranking, Ranking):
+                raise RankingError(
+                    f"item {index} is not a Ranking (got {type(ranking).__name__})"
+                )
         n = rankings[0].n_candidates
-        if any(ranking.n_candidates != n for ranking in rankings):
-            index, ranking = next(
-                (index, ranking)
-                for index, ranking in enumerate(rankings)
-                if ranking.n_candidates != n
-            )
-            raise RankingError(
-                "all base rankings must cover the same candidates: "
-                f"ranking 0 has {n}, ranking {index} has {ranking.n_candidates}"
-            )
+        for index, ranking in enumerate(rankings):
+            if ranking.n_candidates != n:
+                raise RankingError(
+                    "all base rankings must cover the same candidates: "
+                    f"ranking 0 has {n}, ranking {index} has {ranking.n_candidates}"
+                )
         self._rankings = tuple(rankings)
         self._n = n
 
@@ -74,7 +64,7 @@ class RankingSet:
                 raise ValidationError(
                     f"got {len(labels)} labels for {len(rankings)} rankings"
                 )
-            self._labels = tuple(map(str, labels))
+            self._labels = tuple(str(label) for label in labels)
         else:
             self._labels = tuple(f"r{i + 1}" for i in range(len(rankings)))
 

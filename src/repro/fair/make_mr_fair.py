@@ -41,10 +41,12 @@ recomputation plus an O(n) :class:`Ranking` copy.  Move selection reads the
 engine's sorted per-group position lists: the paper swap is two bisects, and
 the single-step moves start from the ends of the lists.  Applying a swap
 keeps those lists sorted with a bisect removal and insertion per affected
-group, so no numpy call remains in the per-swap path, and each entity's
-threshold is looked up once per call.  A cheap-pool move is tried by
-applying it and reading the potential, and swapped back if rejected; the
-exhaustive fallback scores its moves without applying them.  The original
+group, so no numpy call remains in the per-swap path.  Each entity's
+threshold is looked up once per call, into a list in the engine's entity
+order, and the engine sums the potential with the reference's own ``sum``
+expression.  A cheap-pool move is tried by applying it and reading the
+potential, and swapped back if rejected; the exhaustive fallback scores its
+moves without applying them.  The original
 from-scratch evaluator is retained verbatim as
 :func:`make_mr_fair_reference`; the test suite asserts both produce the
 identical swap sequence, ``n_swaps``, and final ranking on every exercised
@@ -87,19 +89,11 @@ class MakeMRFairResult:
 def _violation_potential(
     scores: Mapping[str, float], thresholds: FairnessThresholds
 ) -> float:
-    """Total amount by which the parity scores exceed their thresholds.
-
-    Summed left to right like :meth:`FairnessState.potential
-    <repro.fairness.incremental.FairnessState.potential>`: the builtin
-    ``sum`` compensates rounding on Python 3.12+, so it could differ from
-    the engine in the last bit.
-    """
-    total = 0.0
-    for entity, score in scores.items():
-        excess = score - thresholds.threshold_for(entity)
-        if excess > 0.0:
-            total += excess
-    return total
+    """Total amount by which the parity scores exceed their thresholds."""
+    return sum(
+        max(0.0, score - thresholds.threshold_for(entity))
+        for entity, score in scores.items()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -222,9 +216,9 @@ def make_mr_fair(
     if max_swaps is None:
         max_swaps = total_pairs(table.n_candidates) * (len(entities) + 1)
 
-    limits = thresholds.as_mapping(table)
-
     state = FairnessState(ranking, table)
+    # Each entity's threshold, in state.entities order, looked up once.
+    limits = [thresholds.threshold_for(entity) for entity in state.entities]
     corrected_entities: list[str] = []
     tolerance = 1e-9
     n_swaps = 0
@@ -235,8 +229,8 @@ def make_mr_fair(
         scores = state.parity_scores()
         violating = {
             entity: score
-            for entity, score in scores.items()
-            if score > limits[entity] + tolerance
+            for (entity, score), limit in zip(scores.items(), limits)
+            if score > limit + tolerance
         }
         if not violating:
             return MakeMRFairResult(
@@ -251,7 +245,7 @@ def make_mr_fair(
                 f"remaining violations: {violating}. The requested threshold "
                 "may be infeasible for this group structure."
             )
-        potential = state.potential(thresholds)
+        potential = state.potential(limits)
 
         # Entity to correct: the least fair one among the violators (the
         # paper's choice).  Its Algorithm-2 swap is tried first; if that does
@@ -278,7 +272,7 @@ def make_mr_fair(
         accepted_potential = potential
         for entity, pair in _candidate_moves():
             state.apply_swap(*pair)
-            move_potential = state.potential(thresholds)
+            move_potential = state.potential(limits)
             if move_potential < potential - _PROGRESS_TOLERANCE:
                 accepted = (entity, pair)
                 accepted_potential = move_potential
@@ -296,7 +290,7 @@ def make_mr_fair(
             best_move_potential = float("inf")
             for entity in sorted(violating, key=violating.get, reverse=True):
                 for pair in _single_step_pairs(state, entity, exhaustive=True):
-                    move_potential = state.potential_after_swap(*pair, thresholds)
+                    move_potential = state.potential_after_swap(*pair, limits)
                     if move_potential < best_move_potential:
                         accepted = (entity, pair)
                         best_move_potential = move_potential

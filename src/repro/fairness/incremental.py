@@ -64,6 +64,7 @@ double as numpy's ``int64 / int64``.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -71,7 +72,6 @@ from repro.core.candidates import CandidateTable
 from repro.core.pairwise import favored_mixed_pairs_by_group
 from repro.core.ranking import Ranking
 from repro.exceptions import FairnessError
-from repro.fairness.thresholds import FairnessThresholds
 
 __all__ = ["FairnessState"]
 
@@ -270,10 +270,6 @@ class FairnessState:
         self._stats_by_name = {stats.name: stats for stats in self._stats}
         self._move_layout_cache: tuple[np.ndarray, ...] | None = None
         self._move_tables: tuple[np.ndarray, np.ndarray] | None = None
-        # Per-entity thresholds, in entity order, of the last
-        # FairnessThresholds passed to potential or potential_after_swap.
-        self._limits_source: FairnessThresholds | None = None
-        self._limits_list: list[float] = []
 
     # ------------------------------------------------------------------
     # accessors
@@ -388,39 +384,40 @@ class FairnessState:
             for stats in self._stats
         }
 
-    def potential(self, thresholds: FairnessThresholds) -> float:
+    def potential(self, limits: Sequence[float]) -> float:
         """Total threshold violation of the current ranking.
 
-        Matches ``_violation_potential(parity_scores(), thresholds)`` exactly
-        (same per-entity summation order and float arithmetic).
+        ``limits`` holds each entity's threshold in :attr:`entities` order.
+        Summed with the same ``sum`` expression as
+        ``_violation_potential(parity_scores(), thresholds)``, so the two
+        agree exactly (the builtin ``sum`` compensates rounding on Python
+        3.12+).
         """
-        total = 0.0
-        for stats, limit in zip(self._stats, self._limits(thresholds)):
-            excess = stats.parity - limit
-            if excess > 0.0:
-                total += excess
-        return total
+        return sum(
+            max(0.0, stats.parity - limit) for stats, limit in zip(self._stats, limits)
+        )
 
     def potential_after_swap(
-        self, first: int, second: int, thresholds: FairnessThresholds
+        self, first: int, second: int, limits: Sequence[float]
     ) -> float:
         """Total threshold violation of the hypothetically swapped ranking.
 
-        Matches ``_violation_potential(parity_after_swap(...), thresholds)``
-        exactly (same per-entity summation order and float arithmetic).
+        ``limits`` as in :meth:`potential`.  Matches
+        ``_violation_potential(parity_after_swap(...), thresholds)`` exactly.
         """
         positions = self._positions_list
         gap = abs(positions[first] - positions[second])
         upper, lower = self._oriented(first, second)
-        total = 0.0
-        for stats, limit in zip(self._stats, self._limits(thresholds)):
-            parity = stats.parity_after(
-                stats.membership[upper], stats.membership[lower], gap
+        return sum(
+            max(
+                0.0,
+                stats.parity_after(
+                    stats.membership[upper], stats.membership[lower], gap
+                )
+                - limit,
             )
-            excess = parity - limit
-            if excess > 0.0:
-                total += excess
-        return total
+            for stats, limit in zip(self._stats, limits)
+        )
 
     def parity_after_moves(self, candidate: int) -> dict[str, np.ndarray]:
         """Parity scores after a block move of ``candidate`` to every position.
@@ -584,15 +581,6 @@ class FairnessState:
         if new_position > old_position:
             return self._order_list[old_position + 1 : new_position + 1], True
         return self._order_list[new_position:old_position], False
-
-    def _limits(self, thresholds: FairnessThresholds) -> list[float]:
-        """Per-entity thresholds in entity order, looked up once per object."""
-        if thresholds is not self._limits_source:
-            self._limits_list = [
-                thresholds.threshold_for(stats.name) for stats in self._stats
-            ]
-            self._limits_source = thresholds
-        return self._limits_list
 
     def _oriented(self, first: int, second: int) -> tuple[int, int]:
         """Return ``(upper, lower)`` with ``upper`` the better-ranked candidate."""

@@ -29,13 +29,16 @@ randomized add/remove sequences.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import json
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.cache.fingerprint import fingerprint_candidate_table
+from repro.cache.fingerprint import (
+    fingerprint_candidate_table,
+    profile_digest,
+    profile_tokens,
+)
 from repro.cache.service import compute_consensus_payload, resolve_method
 from repro.core.candidates import CandidateTable
 from repro.core.ranking import Ranking
@@ -54,19 +57,6 @@ from repro.fairness.thresholds import FairnessThresholds
 from repro.io.serialization import canonical_json
 
 __all__ = ["StreamingConsensusEngine"]
-
-
-def _ranking_token(ranking: Ranking, weight: float) -> str:
-    """Per-ranking fingerprint token, mirroring :func:`fingerprint_ranking_set`.
-
-    Keeping the exact byte layout of the batch fingerprint is what lets the
-    engine maintain the profile fingerprint incrementally: the sorted token
-    list is updated with one ``bisect`` insertion/removal per ranking, and
-    hashing the joined tokens reproduces the batch digest bit-for-bit.
-    """
-    return hashlib.sha256(
-        ranking.order.astype("<i8", copy=False).tobytes() + repr(float(weight)).encode()
-    ).hexdigest()
 
 
 def _coerce_ranking(order: Ranking | Sequence[int], n_candidates: int) -> Ranking:
@@ -124,7 +114,11 @@ class StreamingConsensusEngine:
         self._thresholds = FairnessThresholds.coerce(delta)
         self._schema = fingerprint_candidate_table(table)
         self._set: RankingSet | None = None
-        self._tokens: list[str] = []
+        # The sorted fingerprint tokens of the profile (see
+        # repro.cache.fingerprint.profile_tokens): one bisect insertion or
+        # removal per submitted or retracted ranking keeps the profile
+        # fingerprint bit-identical to a batch fingerprint of a rebuild.
+        self._tokens: list[bytes] = []
         self._version = 0
         self._previous: Ranking | None = None
         self._payload: dict | None = None
@@ -136,10 +130,7 @@ class StreamingConsensusEngine:
                     f"{rankings.n_candidates} vs {table.n_candidates} candidates"
                 )
             self._set = rankings
-            self._tokens = sorted(
-                _ranking_token(ranking, weight)
-                for ranking, weight in zip(rankings.rankings, rankings.weights)
-            )
+            self._tokens = sorted(profile_tokens(rankings.rankings, rankings.weights))
 
     # ------------------------------------------------------------------
     # profile state
@@ -204,8 +195,7 @@ class StreamingConsensusEngine:
         """
         if self._set is None:
             return None
-        body = f"n={self._table.n_candidates};" + ";".join(self._tokens)
-        return hashlib.sha256(body.encode()).hexdigest()
+        return profile_digest(self._table.n_candidates, self._tokens)
 
     # ------------------------------------------------------------------
     # incremental updates
@@ -239,8 +229,8 @@ class StreamingConsensusEngine:
             self._set = self._set.with_added(
                 added, labels=labels, weights=batch_weights
             )
-        for ranking, weight in zip(added, batch_weights):
-            bisect.insort(self._tokens, _ranking_token(ranking, float(weight)))
+        for token in profile_tokens(added, batch_weights):
+            bisect.insort(self._tokens, token)
         self._version += 1
         return self._version
 
@@ -295,10 +285,8 @@ class StreamingConsensusEngine:
             self._set = None
         else:
             self._set = self._set.with_removed(chosen)
-        for ranking, weight in zip(targets, batch_weights):
-            token = _ranking_token(ranking, weight)
-            slot = bisect.bisect_left(self._tokens, token)
-            self._tokens.pop(slot)
+        for token in profile_tokens(targets, batch_weights):
+            self._tokens.pop(bisect.bisect_left(self._tokens, token))
         self._version += 1
         return self._version
 

@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import gc
-import importlib
-import weakref
-
 import numpy as np
 import pytest
 
@@ -14,6 +10,7 @@ from repro.cache.fingerprint import (
     fingerprint_candidate_table,
     fingerprint_ranking_set,
     fingerprint_thresholds,
+    profile_tokens,
 )
 from repro.core.candidates import CandidateTable
 from repro.core.ranking import Ranking
@@ -52,29 +49,6 @@ class TestRankingSetFingerprint:
             == fingerprint_ranking_set(from_matrix)
         )
 
-    def test_each_set_is_hashed_once_while_it_lives(self, monkeypatch):
-        module = importlib.import_module("repro.cache.fingerprint")
-        original = module._digest
-        digests = []
-        monkeypatch.setattr(
-            module, "_digest", lambda data: digests.append(data) or original(data)
-        )
-        rankings = RankingSet.from_orders(ORDERS)
-        first = fingerprint_ranking_set(rankings)
-        # One digest per ranking, then one over the sorted tokens.
-        assert len(digests) == len(ORDERS) + 1
-        assert fingerprint_ranking_set(rankings) == first
-        assert len(digests) == len(ORDERS) + 1
-        # An equal profile in a new set is hashed afresh, to the same value.
-        assert fingerprint_ranking_set(RankingSet.from_orders(ORDERS)) == first
-        assert len(digests) == 2 * (len(ORDERS) + 1)
-        # The memo holds its sets weakly: dropping a set frees it.
-        assert rankings in module._PROFILE_FINGERPRINTS
-        alive = weakref.ref(rankings)
-        del rankings
-        gc.collect()
-        assert alive() is None
-
     def test_labels_do_not_affect_fingerprint(self):
         plain = RankingSet.from_orders(ORDERS)
         labelled = RankingSet.from_orders(ORDERS, labels=["math", "physics", "art"])
@@ -96,6 +70,23 @@ class TestRankingSetFingerprint:
         single = RankingSet.from_orders(ORDERS)
         doubled = RankingSet.from_orders(ORDERS + [ORDERS[0]])
         assert fingerprint_ranking_set(single) != fingerprint_ranking_set(doubled)
+
+    @pytest.mark.parametrize(("n", "width"), [(2, 1), (256, 1), (257, 2), (300, 2)])
+    def test_token_is_the_narrow_order_then_the_weight(self, n, width):
+        order = list(range(n))[::-1]
+        (token,) = profile_tokens([Ranking(order)], [2.5])
+        assert len(token) == n * width + 8
+        assert np.array_equal(np.frombuffer(token[: n * width], dtype=f"<u{width}"), order)
+        assert np.frombuffer(token[n * width :], dtype="<f8")[0] == 2.5
+
+    def test_candidates_past_one_byte_are_told_apart(self):
+        # Swapping candidates 0 and 256 changes only the high byte of their
+        # ids, which a one-byte token would drop.
+        order = list(range(300))
+        swapped = [256, *order[1:256], 0, *order[257:]]
+        assert fingerprint_ranking_set(RankingSet.from_orders([order])) != (
+            fingerprint_ranking_set(RankingSet.from_orders([swapped]))
+        )
 
 
 class TestTableAndThresholdFingerprints:

@@ -40,17 +40,6 @@ class TestComputePayload:
         payload = compute_consensus_payload(tiny_rankings, tiny_table, delta=DELTA)
         assert payload == json.loads(json.dumps(payload))
 
-    def test_repeated_strings_share_one_object(self, small_table, small_rankings):
-        import json
-
-        payload = compute_consensus_payload(small_rankings, small_table, delta=0.1)
-        entities = payload["diagnostics"]["corrected_entities"]
-        assert len(entities) > len(set(entities))
-        first = {}
-        for entity in entities:
-            assert first.setdefault(entity, entity) is entity
-        assert payload == json.loads(json.dumps(payload))
-
     def test_strategy_reaches_diagnostics(self, tiny_table, tiny_rankings):
         payload = compute_consensus_payload(
             tiny_rankings, tiny_table, strategy="insertion", delta=DELTA

@@ -109,43 +109,29 @@ class TestSwapQueries:
         before = state.parity_scores()
         state.parity_after_swap(0, 4)
         state.delta_swap(1, 5)
-        state.potential_after_swap(2, 3, FairnessThresholds(0.1))
+        state.potential_after_swap(2, 3, [0.1] * len(state.entities))
         assert state.parity_scores() == before
         assert state.to_ranking() == ranking
 
     def test_potential_after_swap_matches_violation_potential(self, tiny_table):
         from repro.fair.make_mr_fair import _violation_potential
 
+        thresholds = FairnessThresholds(0.2, {"Race": 0.05})
         state = FairnessState(Ranking([0, 3, 5, 1, 2, 4]), tiny_table)
-        # Alternating two threshold objects: the per-entity lookups are
-        # cached per object and must follow the object passed in.
-        for thresholds in [
-            FairnessThresholds(0.2, {"Race": 0.05}),
-            FairnessThresholds(0.05, {"Gender": 0.3}),
-            FairnessThresholds(0.2, {"Race": 0.05}),
-        ]:
-            assert state.potential(thresholds) == _violation_potential(
-                state.parity_scores(), thresholds
+        limits = [thresholds.threshold_for(entity) for entity in state.entities]
+        assert state.potential(limits) == _violation_potential(
+            state.parity_scores(), thresholds
+        )
+        for first, second in [(0, 4), (1, 2), (0, 5), (3, 4)]:
+            after = state.potential_after_swap(first, second, limits)
+            assert after == _violation_potential(
+                state.parity_after_swap(first, second), thresholds
             )
-            for first, second in [(0, 4), (1, 2), (0, 5), (3, 4)]:
-                after = state.potential_after_swap(first, second, thresholds)
-                assert after == _violation_potential(
-                    state.parity_after_swap(first, second), thresholds
-                )
-                # Make-MR-Fair tries moves by applying them and swapping
-                # back: the applied potential must equal the one scored aside.
-                state.apply_swap(first, second)
-                assert state.potential(thresholds) == after
-                state.apply_swap(first, second)
-
-    def test_violation_potential_sums_left_to_right(self):
-        from repro.fair.make_mr_fair import _violation_potential
-
-        # Left-to-right addition gives 0.6000000000000001 here, and so does
-        # FairnessState.potential; a compensated sum (the builtin ``sum`` on
-        # Python 3.12+) gives 0.6.
-        scores = {"A": 0.1, "B": 0.2, "intersection": 0.3}
-        assert _violation_potential(scores, FairnessThresholds(0.0)) == (0.1 + 0.2) + 0.3
+            # Make-MR-Fair tries moves by applying them and swapping back:
+            # the applied potential must equal the one scored aside.
+            state.apply_swap(first, second)
+            assert state.potential(limits) == after
+            state.apply_swap(first, second)
 
     def test_extreme_groups_match_fpr_argminmax(self, tiny_table):
         state = FairnessState(Ranking([4, 1, 0, 2, 5, 3]), tiny_table)
