@@ -1,6 +1,8 @@
 """Ablation benchmark: ILP design choices behind Fair-Kemeny.
 
-Two design decisions documented in DESIGN.md are quantified here:
+Two design decisions of the Fair-Kemeny ILP (documented in
+:mod:`repro.fair.fair_kemeny` and :mod:`repro.optimize.milp_backend`) are
+quantified here:
 
 * the encoding of the MANI-Rank constraints — the paper's pairwise constraints
   (Equations 11–12) versus the compact min/max reformulation this repo uses to

@@ -1,12 +1,13 @@
 """Ablation benchmark: which seed method to hand to Make-MR-Fair.
 
-DESIGN.md calls out the choice of the fairness-unaware seed (Borda, Copeland,
-Schulze, footrule, or simply the fairest base ranking) as the main design
-lever of the polynomial-time MFCR methods.  This benchmark corrects every seed
-on the same dataset and records (a) the runtime and (b) the PD loss of the
-resulting fair consensus, reproducing the paper's observation that Condorcet
-seeds (Copeland/Schulze) represent the base rankings slightly better than
-Borda, while Correct-Fairest-Perm is clearly worse.
+The choice of the fairness-unaware seed (Borda, Copeland, Schulze, footrule,
+or simply the fairest base ranking) is the main design lever of the
+polynomial-time MFCR methods (see :mod:`repro.fair.seeded`).  This benchmark
+corrects every seed on the same dataset and records (a) the runtime and (b)
+the PD loss of the resulting fair consensus, reproducing the paper's
+observation that Condorcet seeds (Copeland/Schulze) represent the base
+rankings slightly better than Borda, while Correct-Fairest-Perm is clearly
+worse.
 """
 
 from __future__ import annotations

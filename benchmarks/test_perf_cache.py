@@ -23,7 +23,8 @@ Hard assertions guarding the tentpole:
 * at the acceptance configuration (n = 200 candidates, m = 500 rankings at
   full scale) the warm-cache aggregate is >= 10x faster than recomputing
   (>= 5x at smoke scale; ``MANI_RANK_PERF_MIN_SPEEDUP`` overrides for noisy
-  shared runners);
+  shared runners), as the median of back-to-back per-round ratios
+  (:func:`perf_timing.paired_median`);
 * the replay's hit rate clears the scale's floor, and the counters reconcile
   exactly with the replay (requests, hits + misses, per-response flags).
 """
@@ -33,10 +34,9 @@ from __future__ import annotations
 import json
 import os
 import time
-import timeit
 
 import numpy as np
-from perf_timing import machine_stamp
+from perf_timing import machine_stamp, paired_median
 
 from repro.cache.service import ConsensusCacheService, compute_consensus_payload
 from repro.cache.store import ResultCache
@@ -72,10 +72,8 @@ _SCALE_PARAMETERS = {
 #: perf benchmarks): mildly unfair seeds so Make-MR-Fair has real work to do.
 _MODAL_TARGETS = {"Race": 0.3, "Gender": 0.5}
 
-
-def _best_of(function, repeat: int = 5) -> float:
-    """Minimum wall-clock seconds over ``repeat`` single runs."""
-    return min(timeit.repeat(function, number=1, repeat=repeat))
+#: Back-to-back recompute/warm rounds behind the acceptance ratio.
+_ROUNDS = 5
 
 
 def _percentiles(latencies_s: list[float]) -> dict[str, float]:
@@ -226,9 +224,9 @@ def test_perf_cache(results_directory, tmp_path):
     warm_response = run_warm()
     assert warm_response["cached"] is True
     assert warm_response["result"] == cold_payloads[acceptance_index]
-    warm_s = _best_of(run_warm)
-    recompute_s = _best_of(lambda: run_cold(acceptance), repeat=3)
-    speedup = recompute_s / warm_s
+    (recompute_s, warm_s), (speedup,) = paired_median(
+        (lambda: run_cold(acceptance), run_warm), _ROUNDS
+    )
     min_speedup = float(
         os.environ.get("MANI_RANK_PERF_MIN_SPEEDUP", parameters["min_speedup"])
     )
@@ -252,6 +250,7 @@ def test_perf_cache(results_directory, tmp_path):
             "n_requests": parameters["n_requests"],
             "memory_capacity": parameters["memory_capacity"],
             "zipf_exponent": parameters["zipf_exponent"],
+            "rounds": _ROUNDS,
             "modal_targets": _MODAL_TARGETS,
         },
         "distinct_queries": len(queries),

@@ -4,7 +4,8 @@ Times the vectorised RIM sampler (:func:`repro.datagen.mallows.sample_mallows`)
 against the retained scalar reference
 (:func:`repro.datagen.mallows.sample_mallows_ranking_reference`) across the
 synthetic-experiment regimes, plus the :meth:`RankingSet.from_position_matrix`
-bulk constructor against the per-ranking list path.
+bulk constructor against the per-ranking list path.  Both comparisons time
+their sides back to back in rounds (:func:`perf_timing.paired_median`).
 
 Results are written as ``perf_datagen.{json,txt}`` to the run's results
 directory (see ``conftest.py``); the committed full-scale baseline in
@@ -25,10 +26,9 @@ from __future__ import annotations
 
 import json
 import os
-import timeit
 
 import numpy as np
-from perf_timing import machine_stamp
+from perf_timing import machine_stamp, paired_median
 
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
@@ -56,10 +56,8 @@ _SCALE_PARAMETERS = {
     },
 }
 
-
-def _best_of(function, repeat: int = 3) -> float:
-    """Minimum wall-clock seconds over ``repeat`` single runs."""
-    return min(timeit.repeat(function, number=1, repeat=repeat))
+#: Back-to-back rounds behind every timing (the reference sampler dominates).
+_ROUNDS = 3
 
 
 def _reference_sample(modal: Ranking, theta: float, m: int, seed: int) -> list[Ranking]:
@@ -84,11 +82,13 @@ def test_perf_datagen(results_directory):
         reference = _reference_sample(modal, theta, n_rankings, seed=23)
         assert batched.to_order_lists() == [ranking.to_list() for ranking in reference]
 
-        batched_s = _best_of(lambda: sample_mallows(modal, theta, n_rankings, rng=23))
-        reference_s = _best_of(
-            lambda: _reference_sample(modal, theta, n_rankings, seed=23)
+        (reference_s, batched_s), (speedup,) = paired_median(
+            (
+                lambda: _reference_sample(modal, theta, n_rankings, seed=23),
+                lambda: sample_mallows(modal, theta, n_rankings, rng=23),
+            ),
+            _ROUNDS,
         )
-        speedup = reference_s / batched_s
         sampler_rows.append(
             {
                 "n_candidates": n_candidates,
@@ -132,16 +132,23 @@ def test_perf_datagen(results_directory):
         RankingSet.from_position_matrix(positions).to_order_lists()
         == RankingSet.from_orders(orders).to_order_lists()
     )
+    (from_orders_s, from_matrix_s), _ = paired_median(
+        (
+            lambda: RankingSet.from_orders(orders),
+            lambda: RankingSet.from_position_matrix(positions),
+        ),
+        _ROUNDS,
+    )
     construction_rows = [
         {
             "constructor": "from_position_matrix",
             "configuration": f"m={m}, n={n}",
-            "seconds": _best_of(lambda: RankingSet.from_position_matrix(positions)),
+            "seconds": from_matrix_s,
         },
         {
             "constructor": "from_orders (validating)",
             "configuration": f"m={m}, n={n}",
-            "seconds": _best_of(lambda: RankingSet.from_orders(orders)),
+            "seconds": from_orders_s,
         },
     ]
 
@@ -153,7 +160,8 @@ def test_perf_datagen(results_directory):
         "scale": scale,
         "machine": machine_stamp(),
         "parameters": {
-            key: value for key, value in parameters.items() if key != "min_speedup"
+            **{key: value for key, value in parameters.items() if key != "min_speedup"},
+            "rounds": _ROUNDS,
         },
         "sampler": sampler_rows,
         "construction": construction_rows,

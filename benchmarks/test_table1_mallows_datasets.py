@@ -19,7 +19,8 @@ def test_table1_mallows_datasets(benchmark, bench_scale, save_result):
     assert by_name["Low-Fair"]["IRP"] > by_name["Medium-Fair"]["IRP"] > by_name["High-Fair"]["IRP"]
     # Achieved values stay within a reasonable distance of the paper targets.
     # The attribute targets are calibrated directly; the IRP is emergent (see
-    # DESIGN.md) so it gets a wider band, especially on the small ci universe.
+    # repro.datagen.fair_modal) so it gets a wider band, especially on the
+    # small ci universe.
     for record in result.records:
         assert abs(record["ARP Gender"] - record["ARP Gender (paper)"]) < 0.15
         assert abs(record["ARP Race"] - record["ARP Race (paper)"]) < 0.15

@@ -3,7 +3,8 @@
 The Kemeny consensus minimises the summed Kendall tau distance to the base
 rankings (Definition 4 / Equation 7 of the paper).  Finding it is NP-hard in
 general; this module provides the exact integer-programming formulation solved
-with HiGHS (the CPLEX substitute, see DESIGN.md) and a branch-and-bound
+with HiGHS (the CPLEX substitute, see :mod:`repro.optimize.milp_backend`)
+and a branch-and-bound
 fallback for small instances, both warm-started pruning-wise by the Borda
 consensus.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 from repro.aggregation.base import AggregationResult, RankAggregator
 from repro.aggregation.borda import BordaAggregator
-from repro.core.distances import kemeny_objective
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
 from repro.exceptions import AggregationError
@@ -131,7 +131,3 @@ def exact_kemeny(rankings: RankingSet, **kwargs: object) -> Ranking:
     """Convenience wrapper returning the exact Kemeny consensus ranking."""
     return KemenyAggregator(**kwargs).aggregate(rankings)  # type: ignore[arg-type]
 
-
-def kemeny_cost(rankings: RankingSet, ranking: Ranking) -> float:
-    """Kemeny objective (summed Kendall tau) of ``ranking`` against ``rankings``."""
-    return kemeny_objective(ranking, rankings)

@@ -143,7 +143,7 @@ def open_cache(
 
     ``directory=None`` gives a memory-only cache; otherwise results are also
     persisted as content-addressed blobs under ``directory``.  Extra keyword
-    arguments (``policy``, ``ttl``, ``retry``, ``breaker``, ...) are
+    arguments (``ttl``, ``retry``, ``breaker``, ...) are
     forwarded to :class:`~repro.cache.store.ResultCache`.
     """
     cache = ResultCache(

@@ -10,12 +10,11 @@ layers:
     content (order-insensitive across construction orders), the candidate
     table's group schema, and the normalised (method, strategy, Δ) triple.
 
-:mod:`repro.cache.store` / :mod:`repro.cache.eviction`
-    A policy-managed memory tier over an optional disk tier (JSON blobs
-    written through :mod:`repro.io.serialization`) with hit/miss/eviction/
-    expiry counters reported as a :class:`~repro.cache.store.CacheStats`
-    snapshot.  Replacement is pluggable (``lru``, ``cost-aware``) and
-    opt-in TTL expiry covers both tiers through an injectable clock.
+:mod:`repro.cache.store`
+    A memory LRU over an optional disk tier (JSON blobs written through
+    :mod:`repro.io.serialization`) with hit/miss/eviction/expiry counters
+    reported as a :class:`~repro.cache.store.CacheStats` snapshot.  Opt-in
+    TTL expiry covers both tiers through an injectable clock.
 
 :mod:`repro.cache.resilience`
     The failure-containment primitives the serving stack runs on: retry with
@@ -38,13 +37,6 @@ latency-percentile baselines under a Zipf query popularity distribution.
 
 from __future__ import annotations
 
-from repro.cache.eviction import (
-    CostAwarePolicy,
-    EvictionPolicy,
-    LRUPolicy,
-    available_policies,
-    create_policy,
-)
 from repro.cache.fingerprint import (
     CacheKey,
     cache_key,
@@ -71,19 +63,14 @@ __all__ = [
     "CircuitBreaker",
     "ConsensusCacheService",
     "ConsensusHTTPServer",
-    "CostAwarePolicy",
     "DiskTier",
-    "EvictionPolicy",
-    "LRUPolicy",
     "LatencyRecorder",
     "LocalFilesystem",
     "ResultCache",
     "RetryPolicy",
     "ServerLimits",
-    "available_policies",
     "cache_key",
     "compute_consensus_payload",
-    "create_policy",
     "fingerprint_candidate_table",
     "fingerprint_ranking_set",
     "run_server",

@@ -144,8 +144,8 @@ class ConsensusCacheService:
             delta=delta,
         )
         elapsed = time.perf_counter() - started
-        # The observed compute cost is the cost-aware policy's replacement
-        # signal; it rides in the entry's metadata across tiers.
+        # The observed compute cost rides in the entry's metadata across
+        # tiers; every later hit adds it to recompute_seconds_saved.
         self._cache.put(digest, payload, compute_seconds=elapsed)
         return {"key": digest, "cached": False, "result": payload}
 

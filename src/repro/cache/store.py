@@ -1,20 +1,20 @@
-"""Two-tier result store: a policy-managed memory tier over an optional disk tier.
+"""Two-tier result store: a memory LRU over an optional disk tier.
 
-The memory tier is capacity-bounded with a pluggable replacement policy
-(:mod:`repro.cache.eviction`: ``lru`` — the default, bit-identical to the
-pre-refactor ``OrderedDict`` implementation — or ``cost-aware``);
-the disk tier persists every stored payload as one JSON blob per digest,
-written atomically (temp file + :func:`os.replace`) so a crash mid-write
-never leaves a truncated blob under the final name.  Reads fall through
-memory → disk; a disk hit is promoted back into memory.
+The memory tier is a capacity-bounded :class:`~collections.OrderedDict` LRU
+(stores, disk promotions and hits refresh recency; the least-recently-used
+entry is evicted); the disk tier persists every stored payload as one JSON
+blob per digest, written atomically (temp file + :func:`os.replace`) so a
+crash mid-write never leaves a truncated blob under the final name.  Reads
+fall through memory → disk; a disk hit is promoted back into memory.
 
 Each blob is an *envelope* ``{"meta": {...}, "payload": {...}}``: the payload
 is exactly the canonical-JSON consensus result (still bit-identical to cold
 computation), and the metadata carries the entry's observed
-``compute_seconds``, its lifetime hit ``frequency``, and its ``stored_at``
-stamp — so the cost-aware policy's inputs and the TTL clock survive disk
-promotions and process restarts.  Pre-envelope blobs (a bare payload object)
-still load, with default metadata.
+``compute_seconds`` and its ``stored_at`` stamp — so ``recompute_seconds_saved``
+and the TTL clock survive disk promotions and process restarts.  Older
+envelopes (whose metadata also carried a hit ``frequency``, now ignored) and
+pre-envelope blobs (a bare payload object, loaded with default metadata)
+still load.
 
 Opt-in TTL expiry (``ResultCache(ttl=...)``) is lazy and covers both tiers:
 a lookup whose entry has aged past the TTL removes it everywhere (counted in
@@ -53,14 +53,15 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import threading
 import time
+from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.cache.eviction import EvictionPolicy, create_policy
 from repro.cache.resilience import CLOSED, CircuitBreaker, RetryPolicy
 from repro.io.serialization import canonical_json
 
@@ -122,13 +123,10 @@ class CacheStats:
     ``evictions``, which are capacity-driven; ``profile_version`` echoes the
     version recorded by the most recent invalidation (0 before any).
 
-    The replacement-policy view: ``policy`` names the memory tier's eviction
-    policy, ``expirations`` counts entries dropped because they aged past the
-    TTL (each such lookup is also a miss), ``recompute_seconds_saved`` is the
+    ``expirations`` counts entries dropped because they aged past the TTL
+    (each such lookup is also a miss), and ``recompute_seconds_saved`` is the
     lifetime sum of the served entries' observed compute costs (every memory
-    or disk hit adds the entry's ``compute_seconds`` — the currency the
-    cost-aware policy maximises), and ``memory_cost_seconds`` is the summed
-    compute cost of the entries currently resident in memory.
+    or disk hit adds the entry's ``compute_seconds``).
     """
 
     hits: int = 0
@@ -145,10 +143,8 @@ class CacheStats:
     breaker_state: str = CLOSED
     invalidations: int = 0
     profile_version: int = 0
-    policy: str = "lru"
     expirations: int = 0
     recompute_seconds_saved: float = 0.0
-    memory_cost_seconds: float = 0.0
 
     @property
     def requests(self) -> int:
@@ -172,19 +168,17 @@ class CacheStats:
 
 @dataclass
 class _MemoryEntry:
-    """One resident payload plus the replacement metadata the policies consume.
+    """One resident payload plus the metadata its disk envelope carries.
 
     ``stored_at`` is the injectable-clock stamp of the original ``put`` (kept
     across disk promotions, so TTL measures age since compute, not since
     promotion); ``compute_seconds`` is the observed cost of computing the
-    payload (0.0 when the caller did not report one); ``frequency`` is the
-    entry's lifetime hit count.
+    payload (0.0 when the caller did not report one).
     """
 
     payload: dict
     stored_at: float
     compute_seconds: float
-    frequency: int
 
 
 #: Envelope keys of the on-disk blob format (see the module docstring).
@@ -193,11 +187,10 @@ _META_KEY = "meta"
 
 
 def _wrap_entry(entry: _MemoryEntry) -> dict:
-    """The disk-blob envelope of ``entry``: payload plus replacement metadata."""
+    """The disk-blob envelope of ``entry``: payload plus its metadata."""
     return {
         _META_KEY: {
             "compute_seconds": entry.compute_seconds,
-            "frequency": entry.frequency,
             "stored_at": entry.stored_at,
         },
         _PAYLOAD_KEY: entry.payload,
@@ -209,24 +202,27 @@ def _unwrap_blob(blob: dict, now: float) -> _MemoryEntry:
 
     A ``stored_at`` in the future — the monotonic clock restarted, or the
     blob was written by another process — is clamped to ``now`` so the entry
-    counts as freshly stored instead of surviving a TTL forever.
+    counts as freshly stored instead of surviving a TTL forever.  Metadata
+    that is not a finite number (a NaN ``stored_at`` would never expire)
+    falls back to the defaults.  Other meta keys (the ``frequency`` that
+    older envelopes carry) are ignored.
     """
     payload = blob.get(_PAYLOAD_KEY)
     meta = blob.get(_META_KEY)
     if not isinstance(payload, dict) or not isinstance(meta, dict):
         # Legacy pre-envelope blob: the payload itself, default metadata.
-        return _MemoryEntry(blob, stored_at=now, compute_seconds=0.0, frequency=0)
+        return _MemoryEntry(blob, stored_at=now, compute_seconds=0.0)
     try:
         stored_at = float(meta.get("stored_at", now))
         compute_seconds = float(meta.get("compute_seconds", 0.0))
-        frequency = int(meta.get("frequency", 0))
+        if not (math.isfinite(stored_at) and math.isfinite(compute_seconds)):
+            raise ValueError("non-finite blob metadata")
     except (TypeError, ValueError):
-        stored_at, compute_seconds, frequency = now, 0.0, 0
+        stored_at, compute_seconds = now, 0.0
     return _MemoryEntry(
         payload,
         stored_at=min(stored_at, now),
         compute_seconds=max(0.0, compute_seconds),
-        frequency=max(0, frequency),
     )
 
 
@@ -401,13 +397,13 @@ class DiskTier:
 
 
 class ResultCache:
-    """Policy-managed memory tier over an optional disk tier, keyed by digest.
+    """Memory-LRU-over-disk result cache keyed by content digest.
 
     Parameters
     ----------
     memory_capacity:
-        Maximum number of payloads held in memory; the eviction ``policy``
-        picks the victim (counted in :class:`CacheStats.evictions`) when a
+        Maximum number of payloads held in memory; the least recently used
+        entry is evicted (counted in :class:`CacheStats.evictions`) when a
         store or a disk promotion exceeds it.  ``None`` disables the bound.
     directory:
         Optional disk-tier directory.  When set, every stored payload is also
@@ -424,11 +420,6 @@ class ResultCache:
     fs:
         Filesystem seam handed to the disk tier (fault-injection tests
         substitute a scheduled-failure implementation).
-    policy:
-        Memory-tier eviction policy: a registered name (``"lru"`` — the
-        default and the pre-refactor reference behaviour — or
-        ``"cost-aware"``) or an :class:`~repro.cache.eviction.EvictionPolicy`
-        instance.
     ttl:
         Optional time-to-live in seconds.  A lookup whose entry has aged
         ``ttl`` or more since its original ``put`` removes it from both tiers
@@ -446,7 +437,6 @@ class ResultCache:
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         fs: LocalFilesystem | None = None,
-        policy: str | EvictionPolicy = "lru",
         ttl: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -456,8 +446,7 @@ class ResultCache:
         if ttl is not None and ttl <= 0:
             raise ValueError("ttl must be positive seconds (or None)")
         self._capacity = memory_capacity
-        self._memory: dict[str, _MemoryEntry] = {}
-        self._policy = create_policy(policy)
+        self._memory: OrderedDict[str, _MemoryEntry] = OrderedDict()
         self._ttl = ttl
         self._clock = clock
         self._disk = (
@@ -496,23 +485,17 @@ class ResultCache:
         return self._breaker
 
     @property
-    def policy(self) -> EvictionPolicy:
-        """The memory tier's eviction policy."""
-        return self._policy
-
-    @property
     def ttl(self) -> float | None:
         """The configured time-to-live in seconds, or ``None``."""
         return self._ttl
 
     def _admit(self, digest: str, entry: _MemoryEntry) -> None:
-        """Insert into the memory tier, evicting policy victims past capacity."""
+        """Insert into the memory tier, evicting the LRU entry past capacity."""
         self._memory[digest] = entry
-        self._policy.on_admit(digest, entry.compute_seconds, entry.frequency)
+        self._memory.move_to_end(digest)
         if self._capacity is not None:
             while len(self._memory) > self._capacity:
-                victim = self._policy.victim()
-                self._memory.pop(victim, None)
+                self._memory.popitem(last=False)
                 self._evictions += 1
 
     def _expired(self, entry: _MemoryEntry, now: float) -> bool:
@@ -549,7 +532,6 @@ class ResultCache:
         """
         if from_memory:
             self._memory.pop(digest, None)
-            self._policy.remove(digest)
         if self._disk is not None and self._breaker.allow():
             deleted = self._disk.delete(digest)
             self._absorb_disk_outcome(evidence=deleted)
@@ -571,8 +553,7 @@ class ResultCache:
                 if self._expired(entry, now):
                     self._drop_expired(digest, from_memory=True)
                 else:
-                    entry.frequency += 1
-                    self._policy.on_hit(digest, entry.compute_seconds, entry.frequency)
+                    self._memory.move_to_end(digest)
                     self._hits += 1
                     self._memory_hits += 1
                     self._saved_seconds += entry.compute_seconds
@@ -587,7 +568,6 @@ class ResultCache:
                     else:
                         self._hits += 1
                         self._disk_hits += 1
-                        entry.frequency += 1
                         self._saved_seconds += entry.compute_seconds
                         self._admit(digest, entry)
                         return entry.payload
@@ -599,9 +579,9 @@ class ResultCache:
     ) -> None:
         """Store ``payload`` under ``digest`` in both tiers.
 
-        ``compute_seconds`` is the observed cost of producing the payload —
-        the cost-aware policy's replacement signal and the currency of
-        ``recompute_seconds_saved``; omit it and the entry is priced as free.
+        ``compute_seconds`` is the observed cost of producing the payload,
+        which every later hit adds to ``recompute_seconds_saved``; omit it and
+        the entry is priced as free.
         A disk store that still fails after retries is absorbed — counted in
         ``disk_errors``, reported to the breaker (repeated failures open it
         and degrade the cache to memory-only) — and never raised; the memory
@@ -612,7 +592,6 @@ class ResultCache:
                 payload,
                 stored_at=self._clock(),
                 compute_seconds=max(0.0, float(compute_seconds or 0.0)),
-                frequency=0,
             )
             self._admit(digest, entry)
             if self._disk is None or not self._breaker.allow():
@@ -647,8 +626,6 @@ class ResultCache:
         with self._lock:
             for digest in set(digests):
                 present = self._memory.pop(digest, None) is not None
-                if present:
-                    self._policy.remove(digest)
                 if self._disk is not None and self._breaker.allow():
                     deleted = self._disk.delete(digest)
                     self._absorb_disk_outcome(evidence=deleted)
@@ -703,10 +680,6 @@ class ResultCache:
                 breaker_state=breaker_state,
                 invalidations=self._invalidations,
                 profile_version=self._profile_version,
-                policy=self._policy.name,
                 expirations=self._expirations,
                 recompute_seconds_saved=self._saved_seconds,
-                memory_cost_seconds=sum(
-                    entry.compute_seconds for entry in self._memory.values()
-                ),
             )

@@ -31,10 +31,10 @@ materialized profile as a rankings CSV for cross-checking with ``aggregate``.
 ``serve`` starts the asyncio HTTP front-end over the content-addressed
 consensus cache (:mod:`repro.cache`): ``/aggregate`` and ``/fairness`` answer
 repeated queries from a memory-over-disk cache, ``/stats`` reports the
-hit/miss/eviction counters.  ``--cache-policy`` selects the memory tier's
-replacement policy (``lru``, ``cost-aware``) and ``--cache-ttl``
-expires entries older than the given seconds.  ``aggregate --cache-dir``
-reuses the same disk tier across CLI invocations (same policy/TTL flags).  The serving stack degrades instead of dying:
+hit/miss/eviction counters.  The memory tier evicts the least recently used
+entry, and ``--cache-ttl`` expires entries older than the given seconds.
+``aggregate --cache-dir`` reuses the same disk tier across CLI invocations
+(same TTL flag).  The serving stack degrades instead of dying:
 ``--max-inflight``/``--queue-depth`` bound concurrent compute (excess is shed
 as 503 + ``Retry-After``), ``--read-timeout`` bounds slow clients (408),
 ``--drain-timeout`` bounds the graceful drain on SIGTERM, a disk circuit
@@ -50,7 +50,6 @@ import sys
 from collections.abc import Sequence
 
 from repro.aggregation.search import available_strategies
-from repro.cache.eviction import available_policies
 from repro.experiments import available_experiments, run_experiment
 from repro.fair.registry import describe_fair_methods
 from repro.io.csv_io import read_candidate_table, read_ranking_set
@@ -110,15 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "reuse the consensus disk cache at this directory: repeated "
             "queries replay the stored result instead of recomputing"
-        ),
-    )
-    aggregate_parser.add_argument(
-        "--cache-policy",
-        default="lru",
-        choices=available_policies(),
-        help=(
-            "memory-tier eviction policy for the cache: cost-aware keeps "
-            "expensive-to-recompute results longer (default: lru)"
         ),
     )
     aggregate_parser.add_argument(
@@ -185,15 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help="max results held in the memory tier (default: 256)",
-    )
-    serve_parser.add_argument(
-        "--cache-policy",
-        default="lru",
-        choices=available_policies(),
-        help=(
-            "memory-tier eviction policy: cost-aware keeps expensive-to-"
-            "recompute results longer (default: lru)"
-        ),
     )
     serve_parser.add_argument(
         "--cache-ttl",
@@ -279,11 +260,7 @@ def _command_aggregate(args: argparse.Namespace) -> int:
     rankings = read_ranking_set(args.rankings_csv, table)
     if args.cache_dir is not None:
         service = ConsensusCacheService(
-            ResultCache(
-                directory=args.cache_dir,
-                policy=args.cache_policy,
-                ttl=args.cache_ttl,
-            )
+            ResultCache(directory=args.cache_dir, ttl=args.cache_ttl)
         )
         response = service.aggregate(
             rankings, table, method=args.method, strategy=args.strategy, delta=args.delta
@@ -368,7 +345,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     cache = ResultCache(
         memory_capacity=args.memory_capacity,
         directory=args.cache_dir,
-        policy=args.cache_policy,
         ttl=args.cache_ttl,
     )
 

@@ -18,7 +18,7 @@ accidental mutation would silently invalidate cached group indexes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -463,12 +463,3 @@ class CandidateTable:
             Group(self.INTERSECTION, combo, tuple(members))
             for combo, members in ordered
         )
-
-
-@dataclass(frozen=True)
-class _CandidateView:  # pragma: no cover - convenience container
-    """Lightweight read-only view of a single candidate (used in examples)."""
-
-    candidate_id: int
-    name: str
-    values: Mapping[str, Any] = field(default_factory=dict)

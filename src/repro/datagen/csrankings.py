@@ -8,7 +8,7 @@ base rankings exhibit a persistent advantage for Northeast and Private
 institutions, which Kemeny amplifies and the MFCR methods remove.
 
 CSRankings data is scraped from csrankings.org, so this module generates a
-synthetic equivalent (substitution documented in DESIGN.md): each department
+synthetic equivalent: each department
 has a latent quality score with a Northeast and Private bonus, and each year's
 ranking is the quality ordering perturbed by year-specific noise.  The result
 reproduces the structural facts Table V relies on — high Location ARP, a

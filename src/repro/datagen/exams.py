@@ -8,7 +8,7 @@ subsidised lunch).  The three subject score columns become three base
 rankings over 200 students.
 
 That generator is an external web tool, so this module re-creates the same
-*structure* synthetically (the substitution is documented in DESIGN.md):
+*structure* synthetically:
 
 * Lunch has the largest effect on all three subjects (students without
   subsidised lunch score visibly higher) — this drives the large Lunch ARP of

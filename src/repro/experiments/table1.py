@@ -78,6 +78,6 @@ def run(scale: str = "ci", theta: float = 0.6, seed: int = 2022) -> ExperimentRe
     result.notes.append(
         "Achieved values come from the synthetic calibrated modal-ranking "
         "generator; the IRP is not directly controllable and emerges from the "
-        "per-attribute biases (see DESIGN.md)."
+        "per-attribute biases (see repro.datagen.fair_modal)."
     )
     return result

@@ -24,7 +24,7 @@ from repro.fairness.thresholds import FairnessThresholds
 
 __all__ = ["run"]
 
-#: Paper-reported runtimes (seconds) for reference in EXPERIMENTS.md.
+#: Paper-reported runtimes (seconds), reported next to the measured ones.
 PAPER_RUNTIMES = {
     1_000: 4.8,
     10_000: 4.81,

@@ -22,7 +22,7 @@ from repro.fairness.thresholds import FairnessThresholds
 
 __all__ = ["run"]
 
-#: Paper-reported runtimes (seconds) for reference in EXPERIMENTS.md.
+#: Paper-reported runtimes (seconds), reported next to the measured ones.
 PAPER_RUNTIMES = {
     1_000: 0.37,
     10_000: 30.83,

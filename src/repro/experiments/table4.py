@@ -68,9 +68,9 @@ def run(
         result.add(ranking=method.name, **fairness_row(consensus, dataset.table))
     result.notes.append(
         "The exam dataset is a synthetic re-creation of the public generator "
-        "used by the paper (see DESIGN.md); the group-bias structure (Lunch "
-        "dominant, NatHawaii disadvantaged, subject-dependent gender gaps) "
-        "matches Table IV."
+        "used by the paper (see repro.datagen.exams); the group-bias "
+        "structure (Lunch dominant, NatHawaii disadvantaged, "
+        "subject-dependent gender gaps) matches Table IV."
     )
     if scale == "ci":
         result.notes.append(

@@ -75,8 +75,9 @@ def run(
         result.add(ranking=method.name, **fairness_row(consensus, dataset.table))
     result.notes.append(
         "The department data is a synthetic re-creation of the CSRankings "
-        "scrape (see DESIGN.md) with a persistent Northeast / Private "
-        "advantage; the bias profile of the base rankings matches Table V."
+        "scrape (see repro.datagen.csrankings) with a persistent "
+        "Northeast / Private advantage; the bias profile of the base "
+        "rankings matches Table V."
     )
     if scale == "ci":
         result.notes.append(

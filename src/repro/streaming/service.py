@@ -150,7 +150,7 @@ class StreamingConsensusService:
                 started = time.perf_counter()
                 payload = self._engine.consensus()
                 # Report the observed compute cost so the shared cache's
-                # cost-aware policy can price streamed entries too.
+                # recompute_seconds_saved counts streamed entries too.
                 self._cache.put(
                     digest, payload, compute_seconds=time.perf_counter() - started
                 )

@@ -1,29 +1,27 @@
-"""Eviction-policy suite: LRU bit-identity, cost-aware semantics, TTL.
+"""Memory-tier suite: LRU bit-identity, work conservation, old blobs, TTL.
 
-The ``lru`` policy is pinned to a from-scratch simulation of the pre-refactor
-``OrderedDict`` memory tier on randomized traces — same hit/miss sequence,
-same eviction order, same survivors — so the refactor provably changed
-nothing for the default configuration.  TTL expiry runs entirely on the
-injected :class:`~tests.cache.faults.ManualClock` (no wall-clock reads), and
-the satellite regression tests cover the two accounting bugfixes (``stats()``
-listing errors, construction-sweep breaker feed) plus the pressure-derived
+The memory tier is pinned to a from-scratch simulation of an
+``OrderedDict`` LRU tier on randomized traces — same hit/miss sequence, same
+recency order after every step, same eviction order, same survivors — with
+and without a disk tier, so disk promotions and invalidations are covered
+too.  ``recompute_seconds_saved`` is pinned by a work-conservation trace,
+and blobs written in older disk layouts are served through
+:meth:`ResultCache.get`.  TTL expiry runs entirely on the injected
+:class:`~tests.cache.faults.ManualClock` (no wall-clock reads), and
+regression tests cover the two accounting bugfixes (``stats()`` listing
+errors, construction-sweep breaker feed) plus the pressure-derived
 ``Retry-After`` computation.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 from collections import OrderedDict
 
 import pytest
 
-from repro.cache.eviction import (
-    CostAwarePolicy,
-    LRUPolicy,
-    available_policies,
-    create_policy,
-)
 from repro.cache.http import ConsensusHTTPServer
 from repro.cache.resilience import CLOSED, OPEN, CircuitBreaker, RetryPolicy
 from repro.cache.store import ResultCache
@@ -39,101 +37,100 @@ def instant_retry(attempts: int = 3) -> RetryPolicy:
 
 
 # ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_available_policies(self):
-        assert available_policies() == ("lru", "cost-aware")
-
-    def test_create_policy_by_name_and_instance(self):
-        assert isinstance(create_policy("lru"), LRUPolicy)
-        assert isinstance(create_policy("cost-aware"), CostAwarePolicy)
-        instance = LRUPolicy()
-        assert create_policy(instance) is instance
-
-    def test_unknown_policy_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown eviction policy"):
-            create_policy("mru")
-        with pytest.raises(ValueError, match="unknown eviction policy"):
-            ResultCache(policy="nope")
-
-    def test_removed_clock_policy_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown eviction policy"):
-            create_policy("clock")
-        with pytest.raises(ValueError, match="unknown eviction policy"):
-            ResultCache(policy="clock")
-
-    def test_stats_reports_the_policy_name(self):
-        assert ResultCache(policy="cost-aware").stats().policy == "cost-aware"
-        assert ResultCache().stats().policy == "lru"
-
-
-# ----------------------------------------------------------------------
-# lru: bit-identical to the pre-refactor OrderedDict implementation
+# LRU: bit-identical to a from-scratch OrderedDict simulation
 # ----------------------------------------------------------------------
 class LegacyLRUMemoryTier:
-    """From-scratch simulation of the pre-refactor ``OrderedDict`` memory tier.
+    """From-scratch simulation of an ``OrderedDict`` LRU memory tier.
 
-    Mirrors the PR 6 ``ResultCache`` memory path verbatim: ``put`` inserts and
+    Mirrors the ``ResultCache`` memory path: ``put`` inserts and
     ``move_to_end``s, then ``popitem(last=False)`` while over capacity; a hit
-    ``move_to_end``s.  The eviction order is recorded so traces can compare
-    sequences, not just final membership.
+    ``move_to_end``s.  With ``disk=True`` every put is also kept in a disk
+    dict, and a memory miss on a digest the disk holds is a disk hit that is
+    admitted like a put (the promotion); ``invalidate`` pops the digest from
+    both.  The eviction order is recorded so traces can compare sequences,
+    not just final membership.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, disk: bool = False) -> None:
         self.capacity = capacity
         self.memory: OrderedDict[str, dict] = OrderedDict()
+        self.disk: dict[str, dict] | None = {} if disk else None
         self.evicted: list[str] = []
         self.hits = 0
         self.misses = 0
+        self.disk_hits = 0
 
-    def put(self, digest: str, value: dict) -> None:
+    def _admit(self, digest: str, value: dict) -> None:
         self.memory[digest] = value
         self.memory.move_to_end(digest)
         while len(self.memory) > self.capacity:
             victim, _ = self.memory.popitem(last=False)
             self.evicted.append(victim)
 
+    def put(self, digest: str, value: dict) -> None:
+        self._admit(digest, value)
+        if self.disk is not None:
+            self.disk[digest] = value
+
     def get(self, digest: str) -> dict | None:
         if digest in self.memory:
             self.memory.move_to_end(digest)
             self.hits += 1
             return self.memory[digest]
+        if self.disk is not None and digest in self.disk:
+            self.hits += 1
+            self.disk_hits += 1
+            self._admit(digest, self.disk[digest])
+            return self.memory[digest]
         self.misses += 1
         return None
+
+    def invalidate(self, digest: str) -> bool:
+        present = self.memory.pop(digest, None) is not None
+        if self.disk is not None:
+            present = self.disk.pop(digest, None) is not None or present
+        return present
 
 
 class TestLRUPinnedToLegacyBehaviour:
     @pytest.mark.parametrize("seed", range(8))
-    def test_policy_victim_sequence_matches_ordereddict(self, seed):
-        """Drive the bare policy and an OrderedDict through one random trace."""
+    def test_victim_sequence_matches_ordereddict(self, seed, tmp_path):
+        """Puts, hits, disk promotions and invalidations keep the same order."""
         rng = random.Random(seed)
         keys = [f"k{index}" for index in range(12)]
-        policy = LRUPolicy()
-        reference: OrderedDict[str, None] = OrderedDict()
-        victims: list[tuple[str, str]] = []
-        for _ in range(400):
+        cache = ResultCache(memory_capacity=4, directory=tmp_path)
+        legacy = LegacyLRUMemoryTier(4, disk=True)
+        invalidated = 0
+        for step in range(400):
             action = rng.random()
             digest = rng.choice(keys)
-            if action < 0.45:
-                policy.on_admit(digest, 0.0, 0)
-                reference[digest] = None
-                reference.move_to_end(digest)
-            elif action < 0.8 and digest in reference:
-                policy.on_hit(digest, 0.0, 1)
-                reference.move_to_end(digest)
-            elif reference:
-                victims.append((policy.victim(), reference.popitem(last=False)[0]))
-        assert victims, "trace never evicted; rebalance the action mix"
-        for actual, expected in victims:
-            assert actual == expected
+            if action < 0.35:
+                cache.put(digest, payload(step))
+                legacy.put(digest, payload(step))
+            elif action < 0.9:
+                assert cache.get(digest) == legacy.get(digest)
+            else:
+                present = legacy.invalidate(digest)
+                assert cache.invalidate([digest]) == int(present)
+                invalidated += present
+            # Same residents in the same recency order, so the same victims.
+            assert list(cache._memory) == list(legacy.memory)
+        stats = cache.stats()
+        assert legacy.evicted and legacy.disk_hits and invalidated, (
+            "trace never evicted, promoted or invalidated; rebalance the mix"
+        )
+        assert stats.evictions == len(legacy.evicted)
+        assert stats.hits == legacy.hits
+        assert stats.disk_hits == legacy.disk_hits
+        assert stats.misses == legacy.misses
+        assert stats.invalidations == invalidated
 
     @pytest.mark.parametrize("seed", range(8))
     def test_cache_trace_matches_legacy_cache(self, seed):
         """Random put/get traces: same hits, misses, evictions, survivors."""
         rng = random.Random(1000 + seed)
         capacity = rng.randint(2, 6)
-        cache = ResultCache(memory_capacity=capacity, policy="lru")
+        cache = ResultCache(memory_capacity=capacity)
         legacy = LegacyLRUMemoryTier(capacity)
         keys = [f"k{index}" for index in range(10)]
         for step in range(500):
@@ -154,48 +151,124 @@ class TestLRUPinnedToLegacyBehaviour:
 
 
 # ----------------------------------------------------------------------
-# cost-aware semantics
+# recompute_seconds_saved: work conservation and cost metadata
 # ----------------------------------------------------------------------
-class TestCostAwarePolicy:
-    def test_expensive_entries_outlive_cheap_ones(self):
-        cache = ResultCache(memory_capacity=2, policy="cost-aware")
-        cache.put("cheap", payload(1), compute_seconds=0.01)
-        cache.put("pricey", payload(2), compute_seconds=10.0)
-        cache.put("newcomer", payload(3), compute_seconds=0.01)
-        assert cache.get("cheap") is None  # lowest priority lost the slot
-        assert cache.get("pricey") == payload(2)
-        assert cache.get("newcomer") == payload(3)
+class TestRecomputeSecondsSaved:
+    @pytest.mark.parametrize("with_disk", [False, True], ids=["memory", "disk"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_work_conservation_on_a_random_trace(self, seed, with_disk, tmp_path):
+        """Every hit saves exactly the compute cost its entry was stored with."""
+        rng = random.Random(2000 + seed)
+        keys = [f"k{index}" for index in range(10)]
+        cache = ResultCache(
+            memory_capacity=3, directory=tmp_path if with_disk else None
+        )
+        cost_of: dict[int, float] = {}  # payload tag -> its pinned compute cost
+        served = 0.0
 
-    def test_frequency_raises_priority(self):
-        policy = CostAwarePolicy()
-        policy.on_admit("hot", 1.0, 0)
-        policy.on_admit("cold", 1.0, 0)
-        policy.on_hit("hot", 1.0, 5)  # priority 6.0 vs cold's 1.0
-        assert policy.victim() == "cold"
+        def compute_and_put(digest: str, tag: int) -> None:
+            cost_of[tag] = rng.uniform(0.001, 2.0)
+            cache.put(digest, payload(tag), compute_seconds=cost_of[tag])
 
-    def test_inflation_ages_resident_entries(self):
-        policy = CostAwarePolicy()
-        policy.on_admit("old", 2.0, 0)  # priority 2.0 at L=0
-        policy.on_admit("doomed", 1.0, 0)
-        assert policy.victim() == "doomed"  # L jumps to 1.0
-        policy.on_admit("fresh", 1.5, 0)  # priority 1.0 + 1.5 = 2.5 > old's 2.0
-        assert policy.victim() == "old"
+        for step in range(400):
+            action = rng.random()
+            digest = rng.choice(keys)
+            if action < 0.15:
+                compute_and_put(digest, step)
+            elif action < 0.9:
+                hit = cache.get(digest)
+                if hit is None:  # a miss recomputes and stores, as services do
+                    compute_and_put(digest, step)
+                else:
+                    served += cost_of[hit["tag"]]
+            else:
+                cache.invalidate([digest])
+        stats = cache.stats()
+        assert stats.hits and stats.evictions and stats.invalidations
+        if with_disk:
+            assert stats.disk_hits  # costs came back through the envelope too
+        # Same costs added in the same order: equal to the last bit.
+        assert stats.recompute_seconds_saved == served
 
     def test_saved_seconds_accumulate_per_hit(self):
-        cache = ResultCache(policy="cost-aware")
+        cache = ResultCache()
         cache.put("a", payload(1), compute_seconds=2.5)
         cache.get("a")
         cache.get("a")
-        stats = cache.stats()
-        assert stats.recompute_seconds_saved == pytest.approx(5.0)
-        assert stats.memory_cost_seconds == pytest.approx(2.5)
+        assert cache.stats().recompute_seconds_saved == pytest.approx(5.0)
 
     def test_cost_metadata_survives_the_disk_round_trip(self, tmp_path):
         ResultCache(directory=tmp_path).put("a", payload(1), compute_seconds=3.0)
-        reopened = ResultCache(directory=tmp_path, policy="cost-aware")
+        reopened = ResultCache(directory=tmp_path)
         assert reopened.get("a") == payload(1)
         assert reopened.stats().recompute_seconds_saved == pytest.approx(3.0)
-        assert reopened.stats().memory_cost_seconds == pytest.approx(3.0)
+
+
+# ----------------------------------------------------------------------
+# blobs written in older layouts keep loading
+# ----------------------------------------------------------------------
+class TestOlderBlobLayouts:
+    def write_blob(self, directory, digest, blob) -> None:
+        (directory / f"{digest}.json").write_text(json.dumps(blob) + "\n")
+
+    def test_envelope_with_frequency_is_served_with_its_metadata(self, tmp_path):
+        self.write_blob(
+            tmp_path,
+            "a",
+            {
+                "meta": {"compute_seconds": 1.25, "frequency": 7, "stored_at": 100.0},
+                "payload": payload(1),
+            },
+        )
+        clock = ManualClock(start=130.0)
+        cache = ResultCache(directory=tmp_path, ttl=60.0, clock=clock)
+        assert cache.get("a") == payload(1)
+        assert cache.stats().recompute_seconds_saved == pytest.approx(1.25)
+        clock.advance(29.0)  # 59 s after the blob's stored_at
+        assert cache.get("a") == payload(1)
+        clock.advance(1.0)  # the blob's own stamp, not the load, drives TTL
+        assert cache.get("a") is None
+        stats = cache.stats()
+        assert stats.expirations == 1
+        assert stats.recompute_seconds_saved == pytest.approx(2.5)
+
+    def test_bare_pre_envelope_payload_loads_with_default_metadata(self, tmp_path):
+        self.write_blob(tmp_path, "a", payload(1))
+        clock = ManualClock(start=500.0)
+        cache = ResultCache(directory=tmp_path, ttl=60.0, clock=clock)
+        assert cache.get("a") == payload(1)
+        stats = cache.stats()
+        assert stats.disk_hits == 1
+        assert stats.recompute_seconds_saved == 0.0  # priced as free
+        clock.advance(59.0)  # stamped when loaded: fresh for one more TTL
+        assert cache.get("a") == payload(1)
+        clock.advance(1.0)
+        assert cache.get("a") is None
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            {"compute_seconds": 1.0, "stored_at": "soon"},
+            {"compute_seconds": "slow", "stored_at": 10.0},
+            {"compute_seconds": None, "stored_at": [1]},
+            {"compute_seconds": 1.0, "stored_at": float("nan")},
+            {"compute_seconds": float("inf"), "stored_at": 10.0},
+        ],
+        ids=["stored_at-text", "cost-text", "wrong-types", "nan", "infinity"],
+    )
+    def test_malformed_meta_falls_back_to_the_defaults(self, tmp_path, meta):
+        self.write_blob(tmp_path, "a", {"meta": meta, "payload": payload(1)})
+        clock = ManualClock(start=500.0)
+        cache = ResultCache(directory=tmp_path, ttl=60.0, clock=clock)
+        assert cache.get("a") == payload(1)
+        stats = cache.stats()
+        assert stats.disk_hits == 1
+        assert stats.disk_corruptions == 0
+        assert stats.recompute_seconds_saved == 0.0
+        clock.advance(59.0)  # stored_at defaulted to the load time
+        assert cache.get("a") == payload(1)
+        clock.advance(1.0)  # ...so the entry still expires after one TTL
+        assert cache.get("a") is None
 
 
 # ----------------------------------------------------------------------
@@ -208,10 +281,9 @@ class TestTTLExpiry:
         with pytest.raises(ValueError, match="ttl"):
             ResultCache(ttl=-5)
 
-    @pytest.mark.parametrize("policy", available_policies())
-    def test_expired_memory_entry_is_a_counted_miss_that_recomputes(self, policy):
+    def test_expired_memory_entry_is_a_counted_miss_that_recomputes(self):
         clock = ManualClock()
-        cache = ResultCache(policy=policy, ttl=60.0, clock=clock)
+        cache = ResultCache(ttl=60.0, clock=clock)
         cache.put("a", payload(1))
         clock.advance(59.9)
         assert cache.get("a") == payload(1)  # still fresh
@@ -277,30 +349,26 @@ class TestTTLExpiry:
 
 
 # ----------------------------------------------------------------------
-# invalidate / breaker degradation across policies
+# invalidate / breaker degradation
 # ----------------------------------------------------------------------
-class TestPolicyObservesInvalidate:
-    @pytest.mark.parametrize("policy", available_policies())
-    def test_invalidated_digests_leave_the_policy_too(self, policy):
-        cache = ResultCache(memory_capacity=2, policy=policy)
+class TestInvalidateAndBreaker:
+    def test_invalidated_digests_free_their_memory_slot(self):
+        cache = ResultCache(memory_capacity=2)
         cache.put("a", payload(1), compute_seconds=1.0)
         cache.put("b", payload(2), compute_seconds=1.0)
         assert cache.invalidate(["b"]) == 1
         cache.put("c", payload(3), compute_seconds=1.0)  # refills the freed slot
         cache.put("d", payload(4), compute_seconds=1.0)  # one real eviction (a)
         stats = cache.stats()
-        # A policy still tracking the invalidated "b" would burn an extra
-        # victim() round on the stale digest and over-count evictions.
+        # A tier still counting the invalidated "b" would evict one entry
+        # too many and over-count evictions.
         assert stats.evictions == 1
         assert stats.invalidations == 1
         assert cache.get("a") is None
         assert cache.get("c") == payload(3)
         assert cache.get("d") == payload(4)
 
-    @pytest.mark.parametrize("policy", available_policies())
-    def test_policies_serve_memory_only_while_the_breaker_is_open(
-        self, tmp_path, policy
-    ):
+    def test_memory_tier_serves_alone_while_the_breaker_is_open(self, tmp_path):
         fs = FlakyFilesystem()
         clock = ManualClock()
         cache = ResultCache(
@@ -311,7 +379,6 @@ class TestPolicyObservesInvalidate:
                 failure_threshold=1, recovery_after=3600.0, clock=clock
             ),
             fs=fs,
-            policy=policy,
             ttl=120.0,
             clock=clock,
         )
@@ -324,7 +391,6 @@ class TestPolicyObservesInvalidate:
         stats = cache.stats()
         assert stats.expirations == 1
         assert stats.disk_degraded is True
-        assert stats.policy == policy
 
 
 # ----------------------------------------------------------------------

@@ -76,7 +76,7 @@ class TestDiskTier:
         assert list(tmp_path.glob("*.tmp")) == []
         blob = json.loads((tmp_path / "a.json").read_text())
         assert blob["payload"] == payload(1)
-        assert set(blob["meta"]) == {"compute_seconds", "frequency", "stored_at"}
+        assert set(blob["meta"]) == {"compute_seconds", "stored_at"}
 
     def test_persists_across_instances(self, tmp_path):
         ResultCache(directory=tmp_path).put("a", payload(1))

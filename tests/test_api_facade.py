@@ -12,6 +12,7 @@ import pytest
 import repro
 import repro.api as api
 from repro import CandidateTable, Ranking, RankingSet
+from repro.cache.store import ResultCache
 from repro.exceptions import ValidationError
 from repro.fair.make_mr_fair import MakeMRFairResult
 from repro.io.csv_io import write_candidate_table, write_ranking_set
@@ -84,9 +85,21 @@ class TestFacadeVerbs:
 
     def test_open_cache_with_disk_tier(self, tmp_path, profile):
         rankings, table = profile
-        service = api.open_cache(tmp_path / "cache", policy="cost-aware")
+        service = api.open_cache(tmp_path / "cache")
         service.aggregate(rankings, table, delta=0.2)
         assert any((tmp_path / "cache").iterdir())
+
+    @pytest.mark.parametrize(
+        "open_with_policy",
+        [
+            lambda: ResultCache(policy="lru"),
+            lambda: api.open_cache(policy="lru"),
+        ],
+        ids=["ResultCache", "open_cache"],
+    )
+    def test_removed_policy_argument_raises_type_error(self, open_with_policy):
+        with pytest.raises(TypeError, match="policy"):
+            open_with_policy()
 
 
 _REMOVED_TOP_LEVEL = (

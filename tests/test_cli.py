@@ -49,9 +49,11 @@ class TestParser:
             ["serve", "--kernel-backend", "numpy"],
             ["aggregate", "r.csv", "c.csv", "--cache-policy", "clock"],
             ["serve", "--cache-policy", "clock"],
+            ["aggregate", "r.csv", "c.csv", "--cache-policy", "lru"],
+            ["serve", "--cache-policy", "lru"],
         ],
         ids=["aggregate-backend", "stream-backend", "serve-backend",
-             "aggregate-clock", "serve-clock"],
+             "aggregate-clock", "serve-clock", "aggregate-policy", "serve-policy"],
     )
     def test_removed_options_are_rejected(self, arguments):
         with pytest.raises(SystemExit):
@@ -72,7 +74,6 @@ class TestParser:
         assert args.port == 8340
         assert args.cache_dir is None
         assert args.memory_capacity == 256
-        assert args.cache_policy == "lru"
         assert args.cache_ttl is None
         assert args.max_requests is None
         assert args.max_inflight == 64
@@ -80,15 +81,10 @@ class TestParser:
         assert args.read_timeout == 10.0
         assert args.drain_timeout == 5.0
 
-    def test_cache_policy_choices(self):
+    def test_cache_ttl_option(self):
         for command in (["serve"], ["aggregate", "r.csv", "c.csv"]):
-            args = build_parser().parse_args(
-                [*command, "--cache-policy", "cost-aware", "--cache-ttl", "300"]
-            )
-            assert args.cache_policy == "cost-aware"
+            args = build_parser().parse_args([*command, "--cache-ttl", "300"])
             assert args.cache_ttl == 300.0
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([*command, "--cache-policy", "nope"])
 
 
 class TestCommands:
