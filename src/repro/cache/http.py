@@ -54,9 +54,25 @@ smoke) is a *graceful drain*: readiness flips false, new compute requests are
 shed, in-flight connections get up to ``drain_timeout`` seconds to finish,
 then the listener closes and :meth:`ConsensusHTTPServer.serve` returns.
 
-Cache misses are computed on a worker thread (``run_in_executor``) so slow
-aggregations do not stall other connections; the
-:class:`~repro.cache.store.ResultCache` lock keeps the tiers consistent.
+Cache lookups and input parsing (inline profile builds and CSV reads) run
+on a lookup thread, and misses on a pool of one compute thread per CPU
+(``run_in_executor``), so slow aggregations do not stall other connections;
+the :class:`~repro.cache.store.ResultCache` lock keeps the tiers
+consistent.  Only the JSON decode of a query body stays on the event loop
+(``json.loads`` holds the GIL throughout, so a worker thread would not free
+the loop).
+
+Body memo: each ``/aggregate`` and ``/fairness`` body is hashed once
+(SHA-256) on arrival.  An inline body that was answered before maps to the
+cache-key digest it resolved to (a bounded LRU of
+:data:`BODY_MEMO_ENTRIES`), so a byte-identical repeat skips the decode,
+the profile build and the fingerprint: one counted cache lookup answers it.
+If that entry is gone (evicted, expired, invalidated) the request falls
+through to decode, parse and compute.  CSV-path bodies are never memoised —
+the files they name can change — and neither is a failed query.  Identical
+bodies arriving together share one compute (single flight): later arrivals
+wait for the first and then take the memo path.
+
 Responses always carry ``Content-Length`` and ``Connection: close``.  All
 timeouts are taken through an injectable
 :class:`~repro.cache.resilience.AsyncClock`, so the adversarial-client tests
@@ -67,11 +83,17 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import hashlib
 import json
 import math
+import os
 import signal
+from collections import OrderedDict
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
+from repro.cache.fingerprint import cache_key
 from repro.cache.resilience import (
     AdmissionController,
     AsyncClock,
@@ -97,9 +119,42 @@ __all__ = ["ConsensusHTTPServer", "run_server"]
 #: builtin from 3.11 on; catching both keeps the matrix green.
 _TIMEOUT_ERRORS = (asyncio.TimeoutError, TimeoutError)
 
+#: Bound of the body memo (request-body digest -> cache-key digest).  An
+#: entry is two 64-character hex digests in an ordered dict, about 300
+#: bytes, so a full memo is about 1 MiB.
+BODY_MEMO_ENTRIES = 4096
+
+#: The consensus-query routes.  Both derive the same cache key from the same
+#: body, so the body memo is keyed on the body alone.
+_QUERY_PATHS = frozenset({"/aggregate", "/fairness"})
+
 
 class _BadRequest(Exception):
     """Client error carrying the message served as a 400 response."""
+
+
+@dataclass
+class _Query:
+    """One ``/aggregate`` or ``/fairness`` request body, hashed on arrival.
+
+    ``body`` is the decoded JSON object, or ``None`` while the body digest is
+    memoised: a memo hit answers without decoding the body at all.
+    """
+
+    raw: bytes
+    digest: str
+    body: dict | None = None
+
+
+def _decode_body(raw_body: bytes) -> dict:
+    """Decode a request body that must be a JSON object (empty means ``{}``)."""
+    try:
+        body = json.loads(raw_body) if raw_body else {}
+    except json.JSONDecodeError as exc:
+        raise _BadRequest(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(body, dict):
+        raise _BadRequest("request body must be a JSON object")
+    return body
 
 
 class _PhaseTimeout(Exception):
@@ -193,6 +248,13 @@ class ConsensusHTTPServer:
         self._drain_cancelled = 0
         self._draining = False
         self._connections: set[asyncio.Task] = set()
+        # Body memo and single flight: loop-thread state only, so no lock.
+        self._memo: OrderedDict[str, str] = OrderedDict()
+        self._flights: dict[str, asyncio.Event] = {}
+        self._memo_hits = 0
+        self._coalesced = 0
+        self._lookups: ThreadPoolExecutor | None = None
+        self._computes: ThreadPoolExecutor | None = None
         self._streaming: StreamingConsensusService | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stop_event: asyncio.Event | None = None
@@ -204,6 +266,18 @@ class ConsensusHTTPServer:
     async def start(self) -> tuple[str, int]:
         """Bind the listener and return the (host, port) actually bound."""
         self._stop_event = asyncio.Event()
+        # Each thread that computes keeps a malloc arena as large as a
+        # compute's peak (~22 MiB at n=200/m=500), and a pool adds a thread
+        # whenever a job arrives before a finished thread has signalled idle,
+        # as a loop answering memo hits in milliseconds often does.  So the
+        # short jobs (memo lookups; parse, fingerprint and lookup of a
+        # decoded query) share one thread — ResultCache.get serialises on
+        # its lock anyway — and computes get one thread per CPU, since they
+        # hold the GIL, instead of the loop's default pool of CPUs + 4.
+        self._lookups = ThreadPoolExecutor(1, thread_name_prefix="lookup")
+        self._computes = ThreadPoolExecutor(
+            os.cpu_count() or 1, thread_name_prefix="compute"
+        )
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
@@ -245,6 +319,8 @@ class ConsensusHTTPServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+            self._lookups.shutdown(wait=False)
+            self._computes.shutdown(wait=False)
 
     async def _drain_connections(self) -> None:
         """Wait (bounded) for in-flight connection tasks; cancel stragglers."""
@@ -387,23 +463,27 @@ class ConsensusHTTPServer:
             return 405, {"error": f"{path} expects {expected_verb}, got {verb}"}, {}
 
         self._endpoint_counts[path] = self._endpoint_counts.get(path, 0) + 1
+        request: dict | _Query
         try:
-            body = json.loads(raw_body) if raw_body else {}
-            if not isinstance(body, dict):
-                raise _BadRequest("request body must be a JSON object")
-        except json.JSONDecodeError as exc:
-            return 400, {"error": f"request body is not valid JSON: {exc}"}, {}
+            if path in _QUERY_PATHS:
+                request = _Query(raw_body, hashlib.sha256(raw_body).hexdigest())
+                if request.digest not in self._memo:
+                    request.body = _decode_body(raw_body)
+            else:
+                request = _decode_body(raw_body)
         except _BadRequest as exc:
             return 400, {"error": str(exc)}, {}
 
         if sheddable:
-            return await self._dispatch_guarded(handler, body)
-        return await self._dispatch(handler, body)
+            return await self._dispatch_guarded(handler, request)
+        return await self._dispatch(handler, request)
 
-    async def _dispatch(self, handler: Callable, body: dict) -> tuple[int, dict, dict]:
+    async def _dispatch(
+        self, handler: Callable, request: dict | _Query
+    ) -> tuple[int, dict, dict]:
         """Run one handler, mapping domain errors to 400."""
         try:
-            result = handler(self, body)
+            result = handler(self, request)
             if asyncio.iscoroutine(result):
                 result = await result
         except (_BadRequest, ReproError, ValueError) as exc:
@@ -427,7 +507,7 @@ class ConsensusHTTPServer:
         return max(1, math.ceil(backlog * p90_seconds))
 
     async def _dispatch_guarded(
-        self, handler: Callable, body: dict
+        self, handler: Callable, request: dict | _Query
     ) -> tuple[int, dict, dict]:
         """Admission-controlled dispatch for the compute endpoints."""
         if self._draining:
@@ -443,30 +523,84 @@ class ConsensusHTTPServer:
                 {"Retry-After": str(self._retry_after_seconds())},
             )
         try:
-            return await self._dispatch(handler, body)
+            return await self._dispatch(handler, request)
         finally:
             self._admission.release()
 
-    async def _run_query(self, body: dict) -> dict:
-        """Resolve inputs and run the cached aggregation off the event loop."""
+    async def _run_query(self, query: _Query) -> dict:
+        """Answer one query from the body memo, or decode, parse and compute it.
+
+        A body whose compute is in flight waits for it first (single flight).
+        A memoised body then takes one counted lookup on its key digest.  If
+        the body is not memoised, or its entry is gone, the query is decoded
+        here, then parsed and fingerprinted on the lookup thread — and looked
+        up there unless the memo lookup already missed — and computed on a
+        miss.  Either way the query makes exactly one counted lookup.
+        """
+        loop = asyncio.get_running_loop()
+        flight = self._flights.get(query.digest)
+        if flight is not None:
+            await flight.wait()
+        key_digest = self._memo.get(query.digest)
+        if key_digest is not None:
+            self._memo.move_to_end(query.digest)
+            response = await loop.run_in_executor(
+                self._lookups, self.service.lookup, key_digest
+            )
+            if response is not None:
+                self._memo_hits += 1
+                if flight is not None:
+                    self._coalesced += 1
+                return response
+        body = query.body if query.body is not None else _decode_body(query.raw)
+        # CSV bodies name server-side files whose contents can change.
+        inline = "rankings_csv" not in body and "candidates_csv" not in body
+        leads = inline and query.digest not in self._flights
+        if leads:
+            self._flights[query.digest] = asyncio.Event()
+        try:
+            # A memo lookup that missed was this query's one counted lookup.
+            resolve = functools.partial(self._resolve, body, look_up=key_digest is None)
+            response, compute = await loop.run_in_executor(self._lookups, resolve)
+            if response is None:
+                response = await loop.run_in_executor(self._computes, compute)
+            if inline:
+                self._memo[query.digest] = response["key"]
+                self._memo.move_to_end(query.digest)
+                if len(self._memo) > BODY_MEMO_ENTRIES:
+                    self._memo.popitem(last=False)
+            return response
+        finally:
+            # Success or failure, release the waiters: after a failure they
+            # find no memo entry and run their own path.
+            if leads:
+                self._flights.pop(query.digest).set()
+
+    def _resolve(self, body: dict, look_up: bool) -> tuple[dict | None, Callable[[], dict]]:
+        """Parse and fingerprint a query body, and look it up if ``look_up``.
+
+        Runs on the lookup thread.  Returns the cached response (``None``
+        on a miss or without a lookup) and the compute of this query.
+        """
         rankings, table = _parse_inputs(body)
-        query = functools.partial(
-            self.service.aggregate,
+        delta = body.get("delta", 0.1)
+        key = cache_key(
             rankings,
             table,
             method=str(body.get("method", "fair-borda")),
             strategy=body.get("strategy"),
-            delta=body.get("delta", 0.1),
+            delta=delta,
         )
-        return await asyncio.get_running_loop().run_in_executor(None, query)
+        response = self.service.lookup(key.digest) if look_up else None
+        return response, functools.partial(self.service.compute, key, rankings, table, delta)
 
-    async def _handle_aggregate(self, body: dict) -> dict:
+    async def _handle_aggregate(self, query: _Query) -> dict:
         """``POST /aggregate``: full cached-or-computed consensus payload."""
-        return await self._run_query(body)
+        return await self._run_query(query)
 
-    async def _handle_fairness(self, body: dict) -> dict:
+    async def _handle_fairness(self, query: _Query) -> dict:
         """``POST /fairness``: fairness projection of the same cache entry."""
-        response = await self._run_query(body)
+        response = await self._run_query(query)
         result = response["result"]
         return {
             "key": response["key"],
@@ -588,6 +722,11 @@ class ConsensusHTTPServer:
                     for status, count in sorted(self._status_counts.items())
                 },
                 "admission": self._admission.snapshot(),
+                "body_memo": {
+                    "entries": len(self._memo),
+                    "hits": self._memo_hits,
+                    "coalesced": self._coalesced,
+                },
                 "read_timeouts": self._read_timeouts,
                 "drain_cancelled": self._drain_cancelled,
                 "draining": self._draining,

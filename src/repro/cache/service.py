@@ -20,7 +20,7 @@ import json
 import time
 from collections.abc import Mapping
 
-from repro.cache.fingerprint import cache_key
+from repro.cache.fingerprint import CacheKey, cache_key
 from repro.cache.store import ResultCache
 from repro.core.candidates import CandidateTable
 from repro.core.ranking_set import RankingSet
@@ -127,12 +127,36 @@ class ConsensusCacheService:
         Returns ``{"key": <digest>, "cached": <bool>, "result": <payload>}``
         where ``result`` is exactly the :func:`compute_consensus_payload`
         value — byte-identical whether it was computed now or replayed.
+        This is :meth:`lookup` on the query's key, then :meth:`compute` on a
+        miss: one counted cache lookup per query.
         """
         key = cache_key(rankings, table, method=method, strategy=strategy, delta=delta)
-        digest = key.digest
+        return self.lookup(key.digest) or self.compute(key, rankings, table, delta)
+
+    def lookup(self, digest: str) -> dict | None:
+        """Answer from the cache entry at ``digest``, or ``None`` on a miss.
+
+        One counted :meth:`ResultCache.get`; a hit returns the
+        :meth:`aggregate` response shape with ``cached`` true.
+        """
         payload = self._cache.get(digest)
-        if payload is not None:
-            return {"key": digest, "cached": True, "result": payload}
+        if payload is None:
+            return None
+        return {"key": digest, "cached": True, "result": payload}
+
+    def compute(
+        self,
+        key: CacheKey,
+        rankings: RankingSet,
+        table: CandidateTable,
+        delta: FairnessThresholds | float | Mapping[str, float] = 0.1,
+    ) -> dict:
+        """Compute the query ``key`` addresses, store it, and answer uncached.
+
+        ``key`` must be :func:`cache_key` of these inputs and ``delta``; the
+        cache is not consulted, so a caller pairs this with one
+        :meth:`lookup` that missed.
+        """
         # The strategy is canonicalised inside the key; compute with the same
         # normalised name so equivalent spellings produce identical payloads.
         started = time.perf_counter()
@@ -146,6 +170,7 @@ class ConsensusCacheService:
         elapsed = time.perf_counter() - started
         # The observed compute cost rides in the entry's metadata across
         # tiers; every later hit adds it to recompute_seconds_saved.
+        digest = key.digest
         self._cache.put(digest, payload, compute_seconds=elapsed)
         return {"key": digest, "cached": False, "result": payload}
 

@@ -46,8 +46,9 @@ breaker turns persistent cache-dir faults into memory-only service, and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.aggregation.search import available_strategies
 from repro.experiments import available_experiments, run_experiment
@@ -55,6 +56,35 @@ from repro.fair.registry import describe_fair_methods
 from repro.io.csv_io import read_candidate_table, read_ranking_set
 
 __all__ = ["main", "build_parser"]
+
+
+def _checked(convert: Callable[[str], float], accept: Callable[[float], bool], what: str):
+    """An argparse ``type=`` converting with ``convert`` and keeping finite ``accept`` values.
+
+    argparse reports a rejected value with the option's name and exits with
+    status 2, before any server or cache is built.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda value: value > 0, "a positive integer")
+_non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
+_positive_seconds = _checked(
+    float, lambda value: value > 0, "a positive, finite number of seconds"
+)
+_non_negative_seconds = _checked(
+    float, lambda value: value >= 0, "a non-negative, finite number of seconds"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,11 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     aggregate_parser.add_argument(
         "--cache-ttl",
-        type=float,
+        type=_positive_seconds,
         default=None,
         help=(
             "expire cached results older than this many seconds (both "
-            "tiers); default: never expire"
+            "tiers; needs --cache-dir); default: never expire"
         ),
     )
 
@@ -172,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--memory-capacity",
-        type=int,
+        type=_positive_int,
         default=256,
         help="max results held in the memory tier (default: 256)",
     )
     serve_parser.add_argument(
         "--cache-ttl",
-        type=float,
+        type=_positive_seconds,
         default=None,
         help=(
             "expire cached results older than this many seconds (both "
@@ -187,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--max-requests",
-        type=int,
+        type=_positive_int,
         default=None,
         help="shut down cleanly after this many requests (smoke testing)",
     )
     serve_parser.add_argument(
         "--max-inflight",
-        type=int,
+        type=_positive_int,
         default=64,
         help=(
             "admission-control budget: concurrent compute requests beyond "
@@ -202,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--queue-depth",
-        type=int,
+        type=_non_negative_int,
         default=16,
         help="requests allowed to wait for an in-flight slot (default: 16)",
     )
     serve_parser.add_argument(
         "--read-timeout",
-        type=float,
+        type=_positive_seconds,
         default=10.0,
         help=(
             "seconds granted to each read phase (request line, headers, "
@@ -217,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--drain-timeout",
-        type=float,
+        type=_non_negative_seconds,
         default=5.0,
         help=(
             "seconds granted to in-flight requests during shutdown before "
@@ -369,6 +399,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for the ``mani-rank`` command."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "aggregate" and args.cache_ttl is not None and args.cache_dir is None:
+        parser.error("argument --cache-ttl: expiry needs a cache; add --cache-dir")
     if args.command == "list":
         return _command_list()
     if args.command == "run":

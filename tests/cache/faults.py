@@ -16,8 +16,8 @@ Three families of tools, all sleep-free:
   garbage/oversized headers, plus a well-behaved :func:`http_request` for the
   control measurements.
 
-Plus :class:`GateService`, a service stand-in whose ``aggregate`` blocks on a
-:class:`threading.Event` (it runs on the server's executor), giving the
+Plus :class:`GateService`, a service stand-in whose computes block on a
+:class:`threading.Event` (they run on the server's executor), giving the
 shed/drain tests a deterministic way to hold a request in flight.
 """
 
@@ -234,12 +234,14 @@ async def yield_until(predicate, ticks: int = 10_000) -> None:
 
 
 class GateService:
-    """Service stand-in whose ``aggregate`` blocks until the test releases it.
+    """Service stand-in whose computes block until the test releases them.
 
     ``started`` is set from the executor thread as soon as a request is in
     flight (tests wait on it via a second executor thread — event-driven, no
-    polling); ``gate`` releases the response.  ``stats``/``health`` return
-    empty-ish payloads so ``/stats`` and ``/healthz`` keep working.
+    polling); ``gate`` releases the response.  Nothing is cached: ``lookup``
+    always misses, so a repeated body falls through to ``compute``.
+    ``stats``/``health`` return empty-ish payloads so ``/stats`` and
+    ``/healthz`` keep working.
     """
 
     def __init__(self) -> None:
@@ -248,7 +250,11 @@ class GateService:
         self.started = threading.Event()
         self.calls = 0
 
-    def aggregate(self, *args, **kwargs) -> dict:
+    def lookup(self, digest: str) -> None:
+        """Miss: the stand-in caches nothing."""
+        return None
+
+    def compute(self, *args, **kwargs) -> dict:
         """Signal arrival, block on the gate, then answer a canned payload."""
         self.calls += 1
         self.started.set()

@@ -260,3 +260,233 @@ class TestLifecycle:
         assert exit_code == 0
         assert responses["aggregate"]["cached"] is False
         assert responses["stats"]["cache"]["misses"] == 1
+
+
+def stats_of(host, port):
+    """``GET /stats`` body of a running server."""
+    return http_request(host, port, "GET", "/stats")
+
+
+class GatedComputeService(ConsensusCacheService):
+    """A real cache service whose computes wait for the test to open a gate."""
+
+    def __init__(self, cache=None):
+        super().__init__(cache)
+        self.started = threading.Event()
+        self.gate = threading.Event()
+        self.computes = 0
+
+    def compute(self, *args, **kwargs):
+        self.computes += 1
+        self.started.set()
+        assert self.gate.wait(timeout=30), "compute gate never opened"
+        return super().compute(*args, **kwargs)
+
+
+class TestBodyMemo:
+    def test_repeated_body_skips_profile_build_and_fingerprint(
+        self, monkeypatch, query_body, tiny_table, tiny_rankings
+    ):
+        import repro.cache.http as http_module
+        import repro.cache.service as service_module
+
+        calls = {"build": 0, "key": 0}
+
+        def spy(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(
+            http_module, "ranking_set_from_dict", spy("build", http_module.ranking_set_from_dict)
+        )
+        monkeypatch.setattr(http_module, "cache_key", spy("key", http_module.cache_key))
+        monkeypatch.setattr(service_module, "cache_key", spy("key", service_module.cache_key))
+        cold = compute_consensus_payload(tiny_rankings, tiny_table, delta=DELTA)
+
+        async def scenario(host, port):
+            first = await http_request(host, port, "POST", "/aggregate", query_body)
+            after_first = dict(calls)
+            second = await http_request(host, port, "POST", "/aggregate", query_body)
+            return first, second, after_first, await stats_of(host, port)
+
+        (first, second, after_first, (_, stats)), _ = with_server(scenario)
+        assert after_first == {"build": 1, "key": 1}
+        assert calls == after_first  # the repeat built no profile and hashed no key
+        assert first[1]["cached"] is False
+        assert second[0] == 200
+        assert second[1] == {"key": first[1]["key"], "cached": True, "result": cold}
+        assert stats["server"]["body_memo"] == {"entries": 1, "hits": 1, "coalesced": 0}
+
+    def test_fairness_after_aggregate_of_the_same_bytes_is_a_memo_hit(self, query_body):
+        async def scenario(host, port):
+            first = await http_request(host, port, "POST", "/aggregate", query_body)
+            fairness = await http_request(host, port, "POST", "/fairness", query_body)
+            return first, fairness, await stats_of(host, port)
+
+        (first, fairness, (_, stats)), _ = with_server(scenario)
+        assert fairness[0] == 200
+        assert fairness[1]["cached"] is True
+        assert fairness[1]["key"] == first[1]["key"]
+        assert fairness[1]["parity"] == first[1]["result"]["parity"]
+        assert stats["server"]["body_memo"]["hits"] == 1
+        assert stats["cache"]["hits"] + stats["cache"]["misses"] == 2
+
+    def test_csv_bodies_are_never_memoised(self, tmp_path, tiny_table, tiny_rankings):
+        from repro.core.ranking_set import RankingSet
+
+        candidates_csv = tmp_path / "candidates.csv"
+        rankings_csv = tmp_path / "rankings.csv"
+        write_candidate_table(tiny_table, candidates_csv)
+        write_ranking_set(tiny_rankings, tiny_table, rankings_csv)
+        rewritten = RankingSet.from_orders(
+            [[1, 2, 4, 0, 3, 5], [2, 1, 4, 3, 0, 5], [4, 1, 2, 5, 0, 3]],
+            labels=["r1", "r2", "r3"],
+        )
+        body = {
+            "rankings_csv": str(rankings_csv),
+            "candidates_csv": str(candidates_csv),
+            "delta": DELTA,
+        }
+
+        async def scenario(host, port):
+            first = await http_request(host, port, "POST", "/aggregate", body)
+            write_ranking_set(rewritten, tiny_table, rankings_csv)
+            second = await http_request(host, port, "POST", "/aggregate", body)
+            return first, second, await stats_of(host, port)
+
+        (first, second, (_, stats)), _ = with_server(scenario)
+        assert first[1]["result"] == compute_consensus_payload(
+            tiny_rankings, tiny_table, delta=DELTA
+        )
+        assert second[0] == 200
+        assert second[1]["cached"] is False
+        assert second[1]["key"] != first[1]["key"]
+        assert second[1]["result"] == compute_consensus_payload(
+            rewritten, tiny_table, delta=DELTA
+        )
+        assert stats["server"]["body_memo"] == {"entries": 0, "hits": 0, "coalesced": 0}
+
+    @pytest.mark.parametrize("gone", ["invalidated", "evicted", "expired"])
+    def test_memo_hit_on_a_vanished_entry_recomputes_with_one_lookup(
+        self, gone, query_body, tiny_table, tiny_rankings
+    ):
+        from repro.cache.store import ResultCache
+        from tests.cache.faults import ManualClock
+
+        clock = ManualClock()
+        cache = {
+            "invalidated": lambda: ResultCache(),
+            "evicted": lambda: ResultCache(memory_capacity=1),
+            "expired": lambda: ResultCache(ttl=10.0, clock=clock),
+        }[gone]()
+        service = ConsensusCacheService(cache)
+        other_body = {**query_body, "method": "fair-copeland"}
+        cold = compute_consensus_payload(tiny_rankings, tiny_table, delta=DELTA)
+
+        async def scenario(host, port):
+            queries = 0
+            first = await http_request(host, port, "POST", "/aggregate", query_body)
+            queries += 1
+            if gone == "invalidated":
+                assert service.cache.invalidate([first[1]["key"]]) == 1
+            elif gone == "evicted":
+                await http_request(host, port, "POST", "/aggregate", other_body)
+                queries += 1
+            else:
+                clock.advance(10.0)
+            again = await http_request(host, port, "POST", "/aggregate", query_body)
+            queries += 1
+            return first, again, queries, await stats_of(host, port)
+
+        (first, again, queries, (_, stats)), _ = with_server(scenario, service=service)
+        assert again[0] == 200
+        assert again[1] == {"key": first[1]["key"], "cached": False, "result": cold}
+        assert stats["cache"]["hits"] + stats["cache"]["misses"] == queries
+        assert stats["cache"]["hits"] == 0
+        assert stats["server"]["body_memo"]["hits"] == 0
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"method": "nope"}, {"strategy": "nope"}, {"delta": 2.0}, {"rankings": {}}],
+        ids=["unknown-method", "unknown-strategy", "bad-delta", "no-rankings"],
+    )
+    def test_a_failed_query_is_never_recorded(self, change, query_body):
+        body = {**query_body, **change}
+
+        async def scenario(host, port):
+            first = await http_request(host, port, "POST", "/aggregate", body)
+            second = await http_request(host, port, "POST", "/aggregate", body)
+            return first, second, await stats_of(host, port)
+
+        (first, second, (_, stats)), _ = with_server(scenario)
+        assert first[0] == second[0] == 400
+        assert stats["server"]["body_memo"] == {"entries": 0, "hits": 0, "coalesced": 0}
+
+    def test_the_memo_keeps_its_bound_and_drops_the_oldest_body(
+        self, monkeypatch, query_body
+    ):
+        import repro.cache.http as http_module
+
+        monkeypatch.setattr(http_module, "BODY_MEMO_ENTRIES", 2)
+        # Distinct bytes, one cache key: the extra field is not part of the query.
+        bodies = [{**query_body, "note": index} for index in range(3)]
+
+        async def scenario(host, port):
+            for body in bodies:
+                await http_request(host, port, "POST", "/aggregate", body)
+            full = await stats_of(host, port)
+            newest = await http_request(host, port, "POST", "/aggregate", bodies[2])
+            after_newest = await stats_of(host, port)
+            oldest = await http_request(host, port, "POST", "/aggregate", bodies[0])
+            after_oldest = await stats_of(host, port)
+            return full, newest, after_newest, oldest, after_oldest
+
+        (full, newest, after_newest, oldest, after_oldest), _ = with_server(scenario)
+        assert full[1]["server"]["body_memo"]["entries"] == 2
+        assert newest[1]["cached"] is True
+        assert after_newest[1]["server"]["body_memo"]["hits"] == 1
+        # The oldest body was dropped: answered from the cache, not the memo.
+        assert oldest[1]["cached"] is True
+        assert after_oldest[1]["server"]["body_memo"] == {
+            "entries": 2, "hits": 1, "coalesced": 0,
+        }
+
+    def test_identical_concurrent_bodies_share_one_compute(
+        self, query_body, tiny_table, tiny_rankings
+    ):
+        service = GatedComputeService()
+        cold = compute_consensus_payload(tiny_rankings, tiny_table, delta=DELTA)
+
+        async def scenario(host, port):
+            loop = asyncio.get_running_loop()
+            first = asyncio.create_task(
+                http_request(host, port, "POST", "/aggregate", query_body)
+            )
+            assert await loop.run_in_executor(None, service.started.wait, 10)
+            second = asyncio.create_task(
+                http_request(host, port, "POST", "/aggregate", query_body)
+            )
+            # Admitted means parked on the first one's flight: nothing awaits
+            # between admission and the flight check.
+            for _ in range(500):
+                _, stats = await stats_of(host, port)
+                if stats["server"]["admission"]["inflight"] == 2:
+                    break
+                await asyncio.sleep(0.01)
+            else:
+                raise AssertionError("the second request was never admitted")
+            service.gate.set()
+            responses = [await first, await second]
+            return responses, await stats_of(host, port)
+
+        (responses, (_, stats)), _ = with_server(scenario, service=service)
+        assert service.computes == 1
+        assert [status for status, _ in responses] == [200, 200]
+        assert sorted(body["cached"] for _, body in responses) == [False, True]
+        assert all(body["result"] == cold for _, body in responses)
+        assert stats["server"]["body_memo"]["coalesced"] == 1
+        assert stats["cache"]["hits"] == 1
+        assert stats["cache"]["hits"] + stats["cache"]["misses"] == 2

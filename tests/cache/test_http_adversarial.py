@@ -10,6 +10,7 @@ time; blocking-compute scenarios hold requests in flight with
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -279,6 +280,41 @@ class TestLoadShedding:
         assert health[2]["status"] == "ok"
         assert ready[0] == 200
         assert ready[2] == {"ready": True}
+
+
+class TestLiveness:
+    def test_healthz_answers_while_a_query_parse_is_held(self, monkeypatch, query_body):
+        import repro.cache.http as http_module
+
+        real_parse = http_module._parse_inputs
+        parsing = threading.Event()
+        healthz_answered = threading.Event()
+        held = {}
+
+        def held_parse(body):
+            parsing.set()
+            # On the event loop this wait would block /healthz itself, so it
+            # could only time out.
+            held["released"] = healthz_answered.wait(timeout=5)
+            return real_parse(body)
+
+        monkeypatch.setattr(http_module, "_parse_inputs", held_parse)
+
+        async def scenario(server, host, port):
+            loop = asyncio.get_running_loop()
+            query = asyncio.create_task(
+                http_request(host, port, "POST", "/aggregate", query_body)
+            )
+            assert await loop.run_in_executor(None, parsing.wait, 10)
+            health = await asyncio.wait_for(http_request(host, port, "GET", "/healthz"), 10)
+            healthz_answered.set()
+            return health, await query
+
+        (health, query), _ = run_scenario(scenario)
+        assert held["released"] is True  # /healthz answered during the parse
+        assert health[0] == 200
+        assert query[0] == 200
+        assert query[2]["cached"] is False
 
 
 class TestGracefulDrain:

@@ -86,6 +86,39 @@ class TestParser:
             args = build_parser().parse_args([*command, "--cache-ttl", "300"])
             assert args.cache_ttl == 300.0
 
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            ["aggregate", "r.csv", "c.csv", "--cache-ttl", "5"],
+            ["aggregate", "r.csv", "c.csv", "--cache-dir", "d", "--cache-ttl", "0"],
+            ["serve", "--memory-capacity", "0"],
+            ["serve", "--cache-ttl", "-1"],
+            ["serve", "--cache-ttl", "nan"],
+            ["serve", "--max-inflight", "0"],
+            ["serve", "--queue-depth", "-1"],
+            ["serve", "--read-timeout", "0"],
+            ["serve", "--read-timeout", "-1"],
+            ["serve", "--read-timeout", "inf"],
+            ["serve", "--drain-timeout", "-1"],
+            ["serve", "--max-requests", "0"],
+            ["serve", "--max-inflight", "many"],
+        ],
+        ids=lambda arguments: " ".join([arguments[0], *arguments[-2:]]),
+    )
+    def test_out_of_range_options_exit_2_naming_the_option(self, arguments, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(arguments)
+        assert excinfo.value.code == 2
+        assert f"argument {arguments[-2]}:" in capsys.readouterr().err
+
+    def test_boundary_values_are_accepted(self):
+        args = build_parser().parse_args(
+            ["serve", "--queue-depth", "0", "--drain-timeout", "0", "--max-requests", "1",
+             "--memory-capacity", "1", "--read-timeout", "0.5", "--cache-ttl", "0.001"]
+        )
+        assert (args.queue_depth, args.drain_timeout, args.max_requests) == (0, 0.0, 1)
+        assert (args.memory_capacity, args.read_timeout, args.cache_ttl) == (1, 0.5, 0.001)
+
 
 class TestCommands:
     def test_list_command(self, capsys):
