@@ -2,21 +2,17 @@
 
 The Kemeny consensus minimises the summed Kendall tau distance to the base
 rankings (Definition 4 / Equation 7 of the paper).  Finding it is NP-hard in
-general; this module provides the exact integer-programming formulation solved
-with HiGHS (the CPLEX substitute, see :mod:`repro.optimize.milp_backend`)
-and a branch-and-bound
-fallback for small instances, both warm-started pruning-wise by the Borda
-consensus.
+general; this module solves the exact integer-programming formulation with
+HiGHS (the CPLEX substitute, see :mod:`repro.optimize.milp_backend`).  The
+pure-Python :func:`repro.optimize.branch_and_bound.branch_and_bound_kemeny`
+is kept as the independent oracle the tests check this solver against.
 """
 
 from __future__ import annotations
 
 from repro.aggregation.base import AggregationResult, RankAggregator
-from repro.aggregation.borda import BordaAggregator
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
-from repro.exceptions import AggregationError
-from repro.optimize.branch_and_bound import MAX_CANDIDATES, branch_and_bound_kemeny
 from repro.optimize.milp_backend import solve_linear_ordering
 from repro.optimize.model import LinearOrderingModel
 
@@ -31,11 +27,6 @@ class KemenyAggregator(RankAggregator):
     weighted:
         Use the ranking-set weights when building the precedence matrix
         (this is how the Kemeny-Weighted baseline of Section IV-B is built).
-    backend:
-        ``"milp"`` (default) solves the linear ordering ILP with HiGHS;
-        ``"branch-and-bound"`` uses the pure-Python exact solver (small n
-        only); ``"auto"`` picks branch and bound for tiny instances where it
-        is faster than setting up the ILP.
     lazy_triangles:
         Passed to the MILP backend; ``None`` lets it decide by instance size.
     time_limit:
@@ -49,18 +40,11 @@ class KemenyAggregator(RankAggregator):
     def __init__(
         self,
         weighted: bool = False,
-        backend: str = "milp",
         lazy_triangles: bool | None = None,
         time_limit: float | None = None,
         mip_rel_gap: float | None = None,
     ) -> None:
-        if backend not in {"milp", "branch-and-bound", "auto"}:
-            raise AggregationError(
-                f"unknown Kemeny backend {backend!r}; "
-                "expected 'milp', 'branch-and-bound', or 'auto'"
-            )
         self._weighted = weighted
-        self._backend = backend
         self._lazy_triangles = lazy_triangles
         self._time_limit = time_limit
         self._mip_rel_gap = mip_rel_gap
@@ -73,39 +57,8 @@ class KemenyAggregator(RankAggregator):
         return LinearOrderingModel.from_precedence(precedence)
 
     def _aggregate(self, rankings: RankingSet) -> AggregationResult:
-        n = rankings.n_candidates
-        if n == 1:
+        if rankings.n_candidates == 1:
             return AggregationResult(Ranking([0]), self.name)
-
-        backend = self._backend
-        if backend == "auto":
-            backend = "branch-and-bound" if n <= 12 else "milp"
-
-        if backend == "branch-and-bound":
-            if n > MAX_CANDIDATES:
-                raise AggregationError(
-                    f"branch-and-bound Kemeny supports at most {MAX_CANDIDATES} "
-                    f"candidates, got {n}; use backend='milp'"
-                )
-            precedence = rankings.precedence_matrix(weighted=self._weighted)
-            warm_start = BordaAggregator(weighted=self._weighted).aggregate(rankings)
-            warm_cost = float(
-                sum(
-                    precedence[a, b]
-                    for a in range(n)
-                    for b in range(n)
-                    if a != b and warm_start.prefers(a, b)
-                )
-            )
-            ranking, objective = branch_and_bound_kemeny(
-                precedence, initial_upper_bound=warm_cost, initial_ranking=warm_start
-            )
-            return AggregationResult(
-                ranking=ranking,
-                method=self.name,
-                diagnostics={"objective": objective, "backend": "branch-and-bound"},
-            )
-
         model = self.build_model(rankings)
         solution = solve_linear_ordering(
             model,

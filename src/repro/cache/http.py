@@ -55,12 +55,12 @@ shed, in-flight connections get up to ``drain_timeout`` seconds to finish,
 then the listener closes and :meth:`ConsensusHTTPServer.serve` returns.
 
 Cache lookups and input parsing (inline profile builds and CSV reads) run
-on a lookup thread, and misses on a pool of one compute thread per CPU
-(``run_in_executor``), so slow aggregations do not stall other connections;
-the :class:`~repro.cache.store.ResultCache` lock keeps the tiers
-consistent.  Only the JSON decode of a query body stays on the event loop
-(``json.loads`` holds the GIL throughout, so a worker thread would not free
-the loop).
+on a lookup thread, and query misses, ``/update`` and ``/consensus`` on one
+pool of one compute thread per CPU (``run_in_executor``, never the loop's
+default pool), so slow aggregations do not stall other connections; the
+:class:`~repro.cache.store.ResultCache` lock keeps the tiers consistent.
+Only the JSON decode of a query body stays on the event loop (``json.loads``
+holds the GIL throughout, so a worker thread would not free the loop).
 
 Body memo: each ``/aggregate`` and ``/fairness`` body is hashed once
 (SHA-256) on arrival.  An inline body that was answered before maps to the
@@ -150,7 +150,7 @@ def _decode_body(raw_body: bytes) -> dict:
     """Decode a request body that must be a JSON object (empty means ``{}``)."""
     try:
         body = json.loads(raw_body) if raw_body else {}
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _BadRequest(f"request body is not valid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise _BadRequest("request body must be a JSON object")
@@ -272,8 +272,9 @@ class ConsensusHTTPServer:
         # as a loop answering memo hits in milliseconds often does.  So the
         # short jobs (memo lookups; parse, fingerprint and lookup of a
         # decoded query) share one thread — ResultCache.get serialises on
-        # its lock anyway — and computes get one thread per CPU, since they
-        # hold the GIL, instead of the loop's default pool of CPUs + 4.
+        # its lock anyway — and computes (query misses and the streaming
+        # routes) get one thread per CPU, since they hold the GIL, instead of
+        # the loop's default pool of CPUs + 4.
         self._lookups = ThreadPoolExecutor(1, thread_name_prefix="lookup")
         self._computes = ThreadPoolExecutor(
             os.cpu_count() or 1, thread_name_prefix="compute"
@@ -696,7 +697,7 @@ class ConsensusHTTPServer:
         add = self._streaming_events(body.get("add", []), table, "add")
         remove = self._streaming_events(body.get("remove", []), table, "remove")
         operation = functools.partial(streaming.update, add=add, remove=remove)
-        return await asyncio.get_running_loop().run_in_executor(None, operation)
+        return await asyncio.get_running_loop().run_in_executor(self._computes, operation)
 
     async def _handle_consensus(self, body: dict) -> dict:
         """``GET /consensus``: the streaming profile's cached consensus."""
@@ -705,7 +706,7 @@ class ConsensusHTTPServer:
                 "no streaming profile: POST /update with rankings first"
             )
         operation = self._streaming.aggregate
-        return await asyncio.get_running_loop().run_in_executor(None, operation)
+        return await asyncio.get_running_loop().run_in_executor(self._computes, operation)
 
     async def _handle_stats(self, body: dict) -> dict:
         """``GET /stats``: cache, admission, latency, and registry counters."""

@@ -57,7 +57,6 @@ SEED_KINDS = ("borda", "cold")
 def evaluate_strategy_cell(data: ScenarioData) -> dict[str, object]:
     """:meth:`ScenarioGrid.run` callback timing one strategy on one cell.
 
-    Module-level (picklable) so the sweep can run under ``n_workers > 1``.
     The Borda seed is recomputed per strategy cell; it is cheap next to the
     search and keeps every strategy's input bit-identical by construction.
     """
@@ -84,7 +83,6 @@ def run(
     theta: float | None = None,
     seed: int = 2022,
     strategies: Sequence[str] | None = None,
-    n_workers: int | None = 1,
 ) -> ExperimentResult:
     """Compare the local-search strategies' objective/time on a Mallows grid.
 
@@ -92,8 +90,7 @@ def run(
     Borda consensus or its reversal), ``strategy``, ``objective``,
     ``search_s`` (the strategy run alone, excluding the seed computation),
     ``n_passes``, and — for the block-move strategies — ``n_moves``.
-    ``theta`` restricts the sweep to a single spread value; ``n_workers > 1``
-    distributes the sweep as in the scalability experiments.
+    ``theta`` restricts the sweep to a single spread value.
     """
     scale = require_scale(scale)
     parameters = _SCALE_PARAMETERS[scale]
@@ -120,7 +117,7 @@ def run(
             "seed": seed,
         },
     )
-    result.extend(grid.run(evaluate_strategy_cell, n_workers=n_workers))
+    result.extend(grid.run(evaluate_strategy_cell))
     result.notes.append(
         "insertion is structurally never worse in objective than "
         "adjacent-swap on the same cell; combined carries no such guarantee "

@@ -49,15 +49,8 @@ def run(
     seed: int = 2022,
     ranking_counts: Sequence[int] | None = None,
     method_labels: Sequence[str] | None = None,
-    n_workers: int | None = 1,
 ) -> ExperimentResult:
-    """Reproduce Figure 6: runtime of every method vs the number of base rankings.
-
-    ``n_workers > 1`` distributes the sweep's workload groups over a process
-    pool (see :meth:`ScenarioGrid.run`); the records are bit-identical to the
-    serial sweep apart from the wall-clock timing fields — note the reported
-    ``runtime_s`` values are then measured on shared cores.
-    """
+    """Reproduce Figure 6: runtime of every method vs the number of base rankings."""
     scale = require_scale(scale)
     parameters = _SCALE_PARAMETERS[scale]
     counts = tuple(ranking_counts) if ranking_counts is not None else parameters["ranking_counts"]
@@ -89,7 +82,7 @@ def run(
         },
     )
 
-    result.extend(grid.run(evaluate_labelled_cell, n_workers=n_workers))
+    result.extend(grid.run(evaluate_labelled_cell))
     if scale == "ci":
         result.notes.append(
             "ci scale shrinks both the candidate count and the ranking counts "

@@ -51,14 +51,8 @@ def run(
     candidate_counts: Sequence[int] | None = None,
     deltas: Sequence[float] | None = None,
     method_labels: Sequence[str] | None = None,
-    n_workers: int | None = 1,
 ) -> ExperimentResult:
-    """Reproduce Figure 7: runtime of every method vs candidate count, per Δ.
-
-    ``n_workers > 1`` parallelises the sweep across its per-``n`` workload
-    groups (bit-identical records apart from the timing fields; see
-    :meth:`ScenarioGrid.run`).
-    """
+    """Reproduce Figure 7: runtime of every method vs candidate count, per Δ."""
     scale = require_scale(scale)
     parameters = _SCALE_PARAMETERS[scale]
     counts = (
@@ -90,7 +84,7 @@ def run(
         seed=seed,
     )
 
-    result.extend(grid.run(evaluate_labelled_cell, n_workers=n_workers))
+    result.extend(grid.run(evaluate_labelled_cell))
     if scale == "ci":
         result.notes.append(
             "ci scale restricts the sweep to polynomial-time methods and "

@@ -256,21 +256,11 @@ class ScenarioGrid:
     instead of independent).
     """
 
-    def __init__(
-        self,
-        cells: Sequence[ScenarioCell],
-        seed: int = 2022,
-        table_factory: Callable[..., CandidateTable] | None = None,
-    ) -> None:
+    def __init__(self, cells: Sequence[ScenarioCell], seed: int = 2022) -> None:
         self.cells = list(cells)
         if not self.cells:
             raise ExperimentError("a scenario grid needs at least one cell")
         self.seed = int(seed)
-        if table_factory is None:
-            from repro.datagen.attributes import scalability_table
-
-            table_factory = scalability_table
-        self._table_factory = table_factory
         self._tables: dict[int, CandidateTable] = {}
         self._modals: dict[tuple, Ranking] = {}
         self._rankings: dict[tuple, RankingSet] = {}
@@ -284,7 +274,6 @@ class ScenarioGrid:
         modal_targets: Mapping[str, float],
         param_grid: Mapping[str, Sequence[object]] | None = None,
         seed: int = 2022,
-        table_factory: Callable[..., CandidateTable] | None = None,
     ) -> "ScenarioGrid":
         """Cartesian-product grid over the data axes and extra parameter axes.
 
@@ -304,15 +293,17 @@ class ScenarioGrid:
             for theta in thetas
             for combination in (product(*value_lists) if names else ((),))
         ]
-        return cls(cells, seed=seed, table_factory=table_factory)
+        return cls(cells, seed=seed)
 
     # ------------------------------------------------------------------
     # cached kernels
     # ------------------------------------------------------------------
     def table_for(self, n_candidates: int) -> CandidateTable:
         """The (cached) candidate table for an ``n_candidates`` workload."""
+        from repro.datagen.attributes import scalability_table
+
         if n_candidates not in self._tables:
-            self._tables[n_candidates] = self._table_factory(n_candidates, rng=self.seed)
+            self._tables[n_candidates] = scalability_table(n_candidates, rng=self.seed)
         return self._tables[n_candidates]
 
     def modal_for(
@@ -389,7 +380,6 @@ class ScenarioGrid:
     def run(
         self,
         cell_function: Callable[[ScenarioData], Mapping[str, object]],
-        n_workers: int | None = 1,
     ) -> list[dict[str, object]]:
         """Run ``cell_function`` on every cell and collect per-cell records.
 
@@ -403,36 +393,7 @@ class ScenarioGrid:
         :class:`RankingSet` is evicted from the cache as soon as the sweep
         moves past it.  The small table/modal caches are kept; a cell order
         that revisits a workload simply regenerates the identical sample.
-
-        Parameters
-        ----------
-        n_workers:
-            ``1`` (or ``None``) runs the sweep serially in-process.  With
-            ``n_workers > 1`` the sweep's *workload groups* (maximal runs of
-            consecutive cells sharing one (n, m, theta, group-composition)
-            sample) are distributed over a process pool.  Every cached kernel
-            is immutable and every workload's sampling stream derives from
-            the grid seed plus the cell's own data axes — never from sweep
-            order — so the records are **bit-identical** to the serial sweep
-            regardless of worker count, except for the two wall-clock timing
-            fields (``datagen_s``/``cell_s``; workers rebuild the shared
-            table/modal kernels per group, which also only shows up there).
-            Requires ``cell_function`` (and a custom ``table_factory``, if
-            any) to be picklable, e.g. a module-level function or a
-            :func:`functools.partial` over one.
         """
-        workers = 1 if n_workers is None else int(n_workers)
-        if workers < 1:
-            raise ExperimentError(f"n_workers must be >= 1, got {n_workers}")
-        if workers == 1:
-            return self._run_serial(cell_function)
-        return self._run_parallel(cell_function, workers)
-
-    def _run_serial(
-        self,
-        cell_function: Callable[[ScenarioData], Mapping[str, object]],
-    ) -> list[dict[str, object]]:
-        """In-process sweep (see :meth:`run` for the record contract)."""
         records: list[dict[str, object]] = []
         previous_key: tuple | None = None
         for cell in self.cells:
@@ -455,69 +416,6 @@ class ScenarioGrid:
             record["cell_s"] = cell_seconds
             records.append(record)
         return records
-
-    def workload_groups(self) -> list[list[ScenarioCell]]:
-        """Maximal runs of consecutive cells sharing one materialised sample.
-
-        This is the parallel sweep's unit of work: cells inside a group share
-        the (potentially large) Mallows sample, so splitting a group across
-        workers would regenerate it once per worker for no extra parallelism
-        at the sweep's memory-bound bottleneck.
-        """
-        groups: list[list[ScenarioCell]] = []
-        previous_key: tuple | None = None
-        for cell in self.cells:
-            key = self._rankings_key(cell)
-            if previous_key is None or key != previous_key:
-                groups.append([])
-            groups[-1].append(cell)
-            previous_key = key
-        return groups
-
-    def _run_parallel(
-        self,
-        cell_function: Callable[[ScenarioData], Mapping[str, object]],
-        n_workers: int,
-    ) -> list[dict[str, object]]:
-        """Distribute the workload groups over a process pool, order-stable."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        groups = self.workload_groups()
-        if len(groups) == 1:
-            # A single workload group cannot be split (its cells share one
-            # materialised sample), so a pool would add fork/pickle overhead
-            # for zero parallelism — and skew any timing measurements.
-            return self._run_serial(cell_function)
-        records: list[dict[str, object]] = []
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(groups))) as pool:
-            for group_records in pool.map(
-                _run_cell_group,
-                (
-                    (self.seed, self._table_factory, group, cell_function)
-                    for group in groups
-                ),
-            ):
-                records.extend(group_records)
-        return records
-
-
-def _run_cell_group(
-    task: tuple[
-        int,
-        Callable[..., CandidateTable],
-        list[ScenarioCell],
-        Callable[[ScenarioData], Mapping[str, object]],
-    ],
-) -> list[dict[str, object]]:
-    """Worker entry point of the parallel sweep: one workload group, serially.
-
-    Module-level so it pickles under every multiprocessing start method.  The
-    worker rebuilds its shared kernels from the grid seed (deterministic, so
-    only the timing fields can differ from a serial sweep).
-    """
-    seed, table_factory, cells, cell_function = task
-    grid = ScenarioGrid(cells, seed=seed, table_factory=table_factory)
-    return grid._run_serial(cell_function)
 
 
 def evaluate_labelled_cell(data: ScenarioData) -> dict[str, object]:

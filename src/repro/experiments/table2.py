@@ -42,9 +42,8 @@ _SCALE_PARAMETERS = {
 def _measure_tier(data: ScenarioData, delta: float) -> dict[str, object]:
     """Replicate the base sample to one tier size and time Fair-Borda on it.
 
-    Module-level (and parameterised through :func:`functools.partial`) so the
-    parallel sweep can pickle it.  The returned ``n_rankings`` is the tier's
-    replicated count, overriding the record's base-sample axis value.
+    The returned ``n_rankings`` is the tier's replicated count, overriding
+    the record's base-sample axis value.
     """
     count = int(data.cell.extras["count"])
     base = data.rankings
@@ -69,7 +68,6 @@ def run(
     theta: float = 0.6,
     seed: int = 2022,
     ranking_counts: Sequence[int] | None = None,
-    n_workers: int | None = 1,
 ) -> ExperimentResult:
     """Reproduce Table II: Fair-Borda execution time vs number of base rankings.
 
@@ -80,11 +78,7 @@ def run(
     diversity, so replication preserves the runtime behaviour being measured.
 
     The tiers run as one :class:`ScenarioGrid` sweep over a single shared
-    workload (the base sample) with the tier size as a cell parameter; the
-    ``n_workers`` option is accepted for driver uniformity, but because every
-    tier shares that one workload the sweep forms a single workload group and
-    executes serially — which is also what keeps the timing measurements
-    honest.
+    workload (the base sample) with the tier size as a cell parameter.
     """
     scale = require_scale(scale)
     parameters = _SCALE_PARAMETERS[scale]
@@ -112,7 +106,7 @@ def run(
             "base_n_rankings": base_count,
         },
     )
-    records = grid.run(partial(_measure_tier, delta=delta), n_workers=n_workers)
+    records = grid.run(partial(_measure_tier, delta=delta))
     for record in records:
         # The tier size rides in as the cell extra "count" and is reported as
         # the record's n_rankings; drop the duplicate column.

@@ -40,8 +40,7 @@ _SCALE_PARAMETERS = {
 
 
 def _measure_cell(data: ScenarioData, delta: float) -> dict[str, object]:
-    """Time one Fair-Borda run on a materialised cell (module-level so the
-    parallel sweep can pickle it)."""
+    """Time one Fair-Borda run on a materialised cell."""
     start = time.perf_counter()
     seed_ranking = BordaAggregator().aggregate(data.rankings)
     corrected = make_mr_fair(seed_ranking, data.table, FairnessThresholds(delta))
@@ -59,13 +58,8 @@ def run(
     theta: float = 0.6,
     seed: int = 2022,
     candidate_counts: Sequence[int] | None = None,
-    n_workers: int | None = 1,
 ) -> ExperimentResult:
-    """Reproduce Table III: Fair-Borda execution time vs candidate count (Δ = 0.33).
-
-    ``n_workers > 1`` runs the per-``n`` workload groups on a process pool
-    (identical measurements apart from wall-clock noise on shared cores).
-    """
+    """Reproduce Table III: Fair-Borda execution time vs candidate count (Δ = 0.33)."""
     scale = require_scale(scale)
     parameters = _SCALE_PARAMETERS[scale]
     counts = (
@@ -93,9 +87,7 @@ def run(
         seed=seed,
     )
 
-    result.extend(
-        grid.run(partial(_measure_cell, delta=delta), n_workers=n_workers)
-    )
+    result.extend(grid.run(partial(_measure_cell, delta=delta)))
     result.notes.append(
         "Runtime excludes dataset generation (the paper also times only the "
         "aggregation); absolute times are machine dependent, the growth shape "

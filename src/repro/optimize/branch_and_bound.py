@@ -1,10 +1,9 @@
 """Pure-Python branch-and-bound solver for the (small) Kemeny problem.
 
-This is an independent exact solver used to cross-check the MILP backend in
-the test suite and as a dependency-free fallback when scipy's MILP is
-unavailable.  It explores permutations by appending one candidate at a time to
-a growing prefix (best position first) and prunes with the classic pairwise
-lower bound::
+This is an independent exact solver the test suite uses to cross-check the
+MILP backend.  It explores permutations by appending one candidate at a time
+to a growing prefix (best position first) and prunes with the classic
+pairwise lower bound::
 
     bound(prefix) = cost(prefix)                      # disagreements already fixed
                   + sum over unordered pairs {a, b}   # both still unplaced

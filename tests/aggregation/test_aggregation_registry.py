@@ -27,8 +27,9 @@ class TestRegistry:
             get_aggregator("approval-voting")
 
     def test_constructor_kwargs_forwarded(self):
-        aggregator = get_aggregator("kemeny", backend="branch-and-bound")
-        rankings = RankingSet.from_orders([[0, 2, 1]] * 2)
+        aggregator = get_aggregator("kemeny", weighted=True)
+        assert aggregator.name == "Kemeny-Weighted"
+        rankings = RankingSet.from_orders([[0, 2, 1], [1, 2, 0]], weights=[3.0, 1.0])
         assert aggregator.aggregate(rankings) == Ranking([0, 2, 1])
 
 

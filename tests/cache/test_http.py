@@ -36,6 +36,19 @@ async def http_request(host, port, verb, path, body=None):
     return status, json.loads(body_bytes)
 
 
+async def raw_request(host, port, verb, path, body):
+    """Send ``body`` bytes as they are, return (status, json)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(
+        f"{verb} {path} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
+    )
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return int(raw.split()[1]), json.loads(raw.partition(b"\r\n\r\n")[2])
+
+
 def with_server(scenario, service=None, max_requests=None):
     """Run ``scenario(host, port)`` against a fresh server on a free port."""
 
@@ -162,21 +175,23 @@ class TestErrors:
 
     def test_invalid_json_is_400(self):
         async def scenario(host, port):
-            reader, writer = await asyncio.open_connection(host, port)
-            body = b"{not json"
-            writer.write(
-                f"POST /aggregate HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n".encode()
-                + body
-            )
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-            return int(raw.split()[1]), json.loads(raw.partition(b"\r\n\r\n")[2])
+            return await raw_request(host, port, "POST", "/aggregate", b"{not json")
 
         (status, payload), _ = with_server(scenario)
         assert status == 400
         assert "not valid JSON" in payload["error"]
+
+    @pytest.mark.parametrize("path", ["/aggregate", "/fairness", "/update"])
+    def test_non_utf8_body_is_400(self, path):
+        async def scenario(host, port):
+            answer = await raw_request(host, port, "POST", path, b'{"rankings": "\xff"}')
+            return answer, await stats_of(host, port)
+
+        ((status, payload), (_, stats)), _ = with_server(scenario)
+        assert status == 400
+        assert payload["error"].startswith("request body is not valid JSON: ")
+        assert "500" not in stats["server"]["responses_by_status"]
+        assert stats["server"]["body_memo"]["entries"] == 0
 
     def test_missing_inputs_is_400(self):
         async def scenario(host, port):

@@ -240,19 +240,8 @@ class TestAblationSearch:
             ]
             assert record["objective"] <= adjacent["objective"]
 
-    def test_single_strategy_run_and_workers_match_serial(self):
+    def test_single_strategy_run(self):
         from repro.experiments import ablation_search
 
-        serial = ablation_search.run(scale="ci", theta=0.6, strategies=("insertion",))
-        assert {record["strategy"] for record in serial.records} == {"insertion"}
-        parallel = ablation_search.run(
-            scale="ci", theta=0.6, strategies=("insertion",), n_workers=2
-        )
-        def strip(record):
-            return {
-                key: value
-                for key, value in record.items()
-                if key not in ("search_s", "datagen_s", "cell_s")
-            }
-
-        assert [strip(r) for r in serial.records] == [strip(r) for r in parallel.records]
+        result = ablation_search.run(scale="ci", theta=0.6, strategies=("insertion",))
+        assert {record["strategy"] for record in result.records} == {"insertion"}

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from importlib import import_module
+from itertools import groupby
+
 import pytest
 
+from repro.datagen.attributes import scalability_table
 from repro.experiments.harness import (
     DEFAULT_THETAS,
     SCALES,
@@ -187,28 +191,8 @@ class TestScenarioGrid:
         with pytest.raises(ExperimentError):
             ScenarioGrid([])
 
-    def test_invalid_worker_count_rejected(self):
-        grid = ScenarioGrid([ScenarioCell.build(8, 4, 0.6, self.TARGETS)], seed=3)
-        with pytest.raises(ExperimentError):
-            grid.run(_count_rankings, n_workers=0)
 
-    def test_workload_groups_split_on_data_axes_only(self):
-        grid = ScenarioGrid.product(
-            candidate_counts=(10, 12),
-            ranking_counts=(4,),
-            thetas=(0.6,),
-            modal_targets=self.TARGETS,
-            param_grid={"delta": (0.1, 0.33)},
-            seed=3,
-        )
-        groups = grid.workload_groups()
-        # Two workloads (one per candidate count), each holding both deltas.
-        assert [len(group) for group in groups] == [2, 2]
-        assert [cell for group in groups for cell in group] == grid.cells
-
-
-#: Timing fields excluded from the parallel-determinism comparison (the only
-#: fields allowed to differ between serial and parallel sweeps).
+#: Wall-clock fields, the only ones that may differ between two sweeps.
 TIMING_FIELDS = {"datagen_s", "cell_s", "runtime_s"}
 
 
@@ -219,74 +203,104 @@ def _strip_timings(record: dict) -> dict:
 
 
 def _count_rankings(data) -> dict:
-    """Module-level cell callback (picklable for the process pool)."""
+    """Cell callback recording the cell's materialised sample and modal."""
     return {
         "m": data.rankings.n_rankings,
-        "first_order": data.rankings[0].to_list(),
-        "modal_head": int(data.modal[0]),
+        "orders": data.rankings.to_order_lists(),
+        "modal": data.modal.to_list(),
     }
 
 
-class TestParallelScenarioGrid:
-    TARGETS = {"Race": 0.4, "Gender": 0.5}
+class TestSweepOrderIndependence:
+    """A cell's record depends on the grid seed and the cell alone."""
 
-    def _grid(self) -> ScenarioGrid:
+    TARGETS = {"Race": 0.4, "Gender": 0.5}
+    SEED = 11
+
+    def _cells(self) -> list[ScenarioCell]:
         return ScenarioGrid.product(
             candidate_counts=(10, 14),
             ranking_counts=(4, 6),
             thetas=(0.4, 0.8),
             modal_targets=self.TARGETS,
-            param_grid={"delta": (0.1,)},
-            seed=11,
-        )
+            param_grid={"delta": (0.1, 0.33)},
+            seed=self.SEED,
+        ).cells
 
-    def test_parallel_records_identical_to_serial(self):
-        serial = self._grid().run(_count_rankings, n_workers=1)
-        parallel = self._grid().run(_count_rankings, n_workers=4)
-        assert len(serial) == len(parallel) == 8
-        assert [_strip_timings(r) for r in serial] == [
-            _strip_timings(r) for r in parallel
+    def _records_by_cell(self, cells, callback=_count_rankings) -> dict:
+        records = ScenarioGrid(cells, seed=self.SEED).run(callback)
+        assert len(records) == len(cells)
+        return {cell: _strip_timings(record) for cell, record in zip(cells, records)}
+
+    def test_each_workload_alone_matches_the_full_sweep(self):
+        cells = self._cells()
+        full = self._records_by_cell(cells)
+        groups = [
+            list(group)
+            for _, group in groupby(
+                cells,
+                key=lambda c: (c.n_candidates, c.n_rankings, c.theta, c.modal_targets),
+            )
         ]
-        # Timing fields are still present on every parallel record.
-        assert all(
-            TIMING_FIELDS - {"runtime_s"} <= set(record) for record in parallel
-        )
+        assert [len(group) for group in groups] == [2] * 8
+        alone: dict = {}
+        for group in groups:
+            alone.update(self._records_by_cell(group))
+        assert alone == full
 
-    def test_worker_count_does_not_change_records(self):
-        two = self._grid().run(_count_rankings, n_workers=2)
-        three = self._grid().run(_count_rankings, n_workers=3)
-        assert [_strip_timings(r) for r in two] == [_strip_timings(r) for r in three]
+    def test_reversed_and_interleaved_orders_match_the_full_sweep(self):
+        cells = self._cells()
+        full = self._records_by_cell(cells)
+        assert self._records_by_cell(cells[::-1]) == full
+        # Parameter axis outermost: every workload is evicted between its
+        # two cells and regenerated on the second visit.
+        interleaved = sorted(cells, key=lambda c: c.extras["delta"])
+        assert self._records_by_cell(interleaved) == full
 
-    def test_n_workers_none_means_serial(self):
-        records = self._grid().run(_count_rankings, n_workers=None)
-        assert [_strip_timings(r) for r in records] == [
-            _strip_timings(r) for r in self._grid().run(_count_rankings)
-        ]
-
-    def test_single_cell_grid_runs_in_process(self):
-        grid = ScenarioGrid([ScenarioCell.build(8, 4, 0.6, self.TARGETS)], seed=3)
-        records = grid.run(_count_rankings, n_workers=4)
-        assert len(records) == 1
-        assert records[0]["m"] == 4
-
-    def test_parallel_method_sweep_matches_serial(self):
+    def test_method_sweep_records_do_not_depend_on_order(self):
         from repro.experiments.harness import evaluate_labelled_cell
 
-        def build():
-            return ScenarioGrid.product(
-                candidate_counts=(12,),
-                ranking_counts=(6,),
-                thetas=(0.6,),
-                modal_targets=self.TARGETS,
-                param_grid={"label": ("A3", "B3"), "delta": (0.1,)},
-                seed=3,
-            )
+        cells = ScenarioGrid.product(
+            candidate_counts=(12,),
+            ranking_counts=(6,),
+            thetas=(0.6,),
+            modal_targets=self.TARGETS,
+            param_grid={"label": ("A3", "B3"), "delta": (0.1,)},
+            seed=self.SEED,
+        ).cells
+        forward = self._records_by_cell(cells, evaluate_labelled_cell)
+        backward = self._records_by_cell(cells[::-1], evaluate_labelled_cell)
+        assert backward == forward
 
-        serial = build().run(evaluate_labelled_cell, n_workers=1)
-        parallel = build().run(evaluate_labelled_cell, n_workers=2)
-        assert [_strip_timings(r) for r in serial] == [
-            _strip_timings(r) for r in parallel
-        ]
+
+_ONE_CELL = ScenarioCell.build(8, 4, 0.6, {"Race": 0.4, "Gender": 0.5})
+
+#: Arguments the serial sweep removed, each with a call that passes it.
+_REMOVED_ARGUMENTS = {
+    "ScenarioGrid.run(n_workers=)": lambda: ScenarioGrid([_ONE_CELL]).run(
+        _count_rankings, n_workers=2
+    ),
+    "ScenarioGrid(table_factory=)": lambda: ScenarioGrid(
+        [_ONE_CELL], table_factory=scalability_table
+    ),
+    "ScenarioGrid.product(table_factory=)": lambda: ScenarioGrid.product(
+        (8,), (4,), (0.6,), {"Race": 0.4}, table_factory=scalability_table
+    ),
+    **{
+        f"{module}.run(n_workers=)": (
+            lambda module=module: import_module(f"repro.experiments.{module}").run(
+                scale="ci", n_workers=2
+            )
+        )
+        for module in ("figure6", "figure7", "table2", "table3", "ablation_search")
+    },
+}
+
+
+@pytest.mark.parametrize("call", _REMOVED_ARGUMENTS.values(), ids=_REMOVED_ARGUMENTS)
+def test_removed_sweep_arguments_raise_type_error(call):
+    with pytest.raises(TypeError, match="n_workers|table_factory"):
+        call()
 
 
 class TestMethodsByLabel:

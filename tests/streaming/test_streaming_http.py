@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.cache.http import ConsensusHTTPServer
 from repro.cache.service import ConsensusCacheService
-from repro.io.serialization import candidate_table_to_dict, ranking_set_to_dict
+from repro.io.serialization import candidate_table_to_dict
+from repro.streaming.service import StreamingConsensusService
 
 DELTA = 0.35
 
@@ -112,6 +114,30 @@ class TestStreamingEndpoints:
         batch = ConsensusCacheService().aggregate(profile, tiny_table, delta=DELTA)
         assert streamed[1]["key"] == batch["key"]
         assert streamed[1]["result"] == batch["result"]
+
+    def test_streaming_routes_run_on_the_compute_pool(self, monkeypatch, first_update):
+        threads: dict[str, str] = {}
+
+        def spy(name):
+            method = getattr(StreamingConsensusService, name)
+
+            def recorded(self, *args, **kwargs):
+                threads[name] = threading.current_thread().name
+                return method(self, *args, **kwargs)
+
+            monkeypatch.setattr(StreamingConsensusService, name, recorded)
+
+        spy("update")
+        spy("aggregate")
+
+        async def scenario(host, port):
+            update = await http_request(host, port, "POST", "/update", first_update)
+            consensus = await http_request(host, port, "GET", "/consensus")
+            return update[0], consensus[0]
+
+        assert with_server(scenario) == (200, 200)
+        assert set(threads) == {"update", "aggregate"}
+        assert all(name.startswith("compute") for name in threads.values()), threads
 
     def test_first_update_requires_the_candidate_table(self):
         async def scenario(host, port):
