@@ -5,7 +5,8 @@ distance to the base rankings and is a well-known 2-approximation of the
 Kemeny optimum.  It reduces to a minimum-cost bipartite assignment between
 candidates and positions (cost of placing candidate ``c`` at position ``p`` is
 the summed ``|p - position_i(c)|`` over base rankings), solved here with
-``scipy.optimize.linear_sum_assignment``.
+``scipy.optimize.linear_sum_assignment``.  scipy is imported on the first
+footrule aggregation, so importing the package does not load it.
 
 The paper does not evaluate footrule aggregation directly, but it is part of
 the rank-aggregation literature the paper builds on [29]; it is included both
@@ -16,7 +17,6 @@ Make-MR-Fair in the ablation benchmarks.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.aggregation.base import AggregationResult, RankAggregator
 from repro.core.ranking import Ranking
@@ -47,6 +47,8 @@ class FootruleAggregator(RankAggregator):
         self._weighted = weighted
 
     def _aggregate(self, rankings: RankingSet) -> AggregationResult:
+        from scipy.optimize import linear_sum_assignment
+
         cost = footrule_cost_matrix(rankings, weighted=self._weighted)
         candidate_ids, assigned_positions = linear_sum_assignment(cost)
         order = np.empty(rankings.n_candidates, dtype=np.int64)

@@ -8,8 +8,11 @@ A deliberately small HTTP/1.1 server on :func:`asyncio.start_server` — no
     "delta"}`` with the inputs either inline (the
     :mod:`repro.io.serialization` dictionaries) or as CSV paths
     (``rankings_csv``/``candidates_csv``, resolved server-side).  Responds
-    with the full cached-or-computed consensus payload plus the cache key
-    digest and a ``cached`` flag.
+    ``{"key": ..., "cached": ..., "result": ...}``: the cache key digest, a
+    ``cached`` flag, and the full cached-or-computed consensus payload.  The
+    envelope is written as :func:`json.dumps` writes it, and ``result`` is
+    the payload's compact canonical JSON exactly as the cache stores it,
+    spliced in unparsed.
 
 ``POST /fairness``
     Same body; responds with the fairness projection of the same cache entry
@@ -30,7 +33,8 @@ A deliberately small HTTP/1.1 server on :func:`asyncio.start_server` — no
 ``GET /consensus``
     The streaming profile's consensus — served under the exact batch cache
     key, so it is bit-identical to ``POST /aggregate`` on the materialized
-    profile and a cache hit when unchanged.
+    profile and a cache hit when unchanged.  Same response layout as
+    ``/aggregate`` plus a trailing ``profile_version``.
 
 ``GET /stats``
     Cache counters (hits/misses/evictions/sizes, disk-breaker state,
@@ -100,7 +104,7 @@ from repro.cache.resilience import (
     LatencyRecorder,
     ServerLimits,
 )
-from repro.cache.service import ConsensusCacheService
+from repro.cache.service import Answer, ConsensusCacheService
 from repro.exceptions import ReproError
 from repro.fair.registry import describe_fair_methods
 from repro.io.csv_io import read_candidate_table, read_ranking_set
@@ -144,6 +148,18 @@ class _Query:
     raw: bytes
     digest: str
     body: dict | None = None
+
+
+def _answer_body(answer: Answer, **fields: object) -> bytes:
+    """The response body of a consensus answer, its stored bytes spliced in.
+
+    :func:`json.dumps` writes the envelope ``{"key", "cached", "result",
+    **fields}`` with its default separators and in that key order; the
+    ``result`` placeholder is then replaced by the payload's canonical bytes.
+    """
+    envelope = json.dumps({"key": answer.key, "cached": answer.cached, "result": None, **fields})
+    head, _, tail = envelope.partition('"result": null')
+    return b"".join((head.encode(), b'"result": ', answer.result, tail.encode()))
 
 
 def _decode_body(raw_body: bytes) -> dict:
@@ -357,7 +373,9 @@ class ConsensusHTTPServer:
                 status, payload, extra_headers = await self._respond(reader)
             except Exception as exc:  # noqa: BLE001 - a handler crash must not kill the server
                 status, payload = 500, {"error": f"internal error: {exc}"}
-            body = json.dumps(to_jsonable(payload)).encode()
+            body = (
+                payload if isinstance(payload, bytes) else json.dumps(to_jsonable(payload)).encode()
+            )
             header_lines = [
                 f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
                 "Content-Type: application/json",
@@ -394,7 +412,9 @@ class ConsensusHTTPServer:
         except _TIMEOUT_ERRORS as exc:
             raise _PhaseTimeout(phase) from exc
 
-    async def _respond(self, reader: asyncio.StreamReader) -> tuple[int, dict, dict]:
+    async def _respond(
+        self, reader: asyncio.StreamReader
+    ) -> tuple[int, dict | bytes, dict]:
         limits = self._limits
         try:
             deadline = self._clock.monotonic() + limits.read_timeout
@@ -481,8 +501,12 @@ class ConsensusHTTPServer:
 
     async def _dispatch(
         self, handler: Callable, request: dict | _Query
-    ) -> tuple[int, dict, dict]:
-        """Run one handler, mapping domain errors to 400."""
+    ) -> tuple[int, dict | bytes, dict]:
+        """Run one handler, mapping domain errors to 400.
+
+        A handler returns its response as a dict, as an encoded body
+        (``bytes``), or as a ``(status, dict)`` pair.
+        """
         try:
             result = handler(self, request)
             if asyncio.iscoroutine(result):
@@ -509,7 +533,7 @@ class ConsensusHTTPServer:
 
     async def _dispatch_guarded(
         self, handler: Callable, request: dict | _Query
-    ) -> tuple[int, dict, dict]:
+    ) -> tuple[int, dict | bytes, dict]:
         """Admission-controlled dispatch for the compute endpoints."""
         if self._draining:
             return (
@@ -528,7 +552,7 @@ class ConsensusHTTPServer:
         finally:
             self._admission.release()
 
-    async def _run_query(self, query: _Query) -> dict:
+    async def _run_query(self, query: _Query) -> Answer:
         """Answer one query from the body memo, or decode, parse and compute it.
 
         A body whose compute is in flight waits for it first (single flight).
@@ -545,14 +569,14 @@ class ConsensusHTTPServer:
         key_digest = self._memo.get(query.digest)
         if key_digest is not None:
             self._memo.move_to_end(query.digest)
-            response = await loop.run_in_executor(
+            answer = await loop.run_in_executor(
                 self._lookups, self.service.lookup, key_digest
             )
-            if response is not None:
+            if answer is not None:
                 self._memo_hits += 1
                 if flight is not None:
                     self._coalesced += 1
-                return response
+                return answer
         body = query.body if query.body is not None else _decode_body(query.raw)
         # CSV bodies name server-side files whose contents can change.
         inline = "rankings_csv" not in body and "candidates_csv" not in body
@@ -562,25 +586,27 @@ class ConsensusHTTPServer:
         try:
             # A memo lookup that missed was this query's one counted lookup.
             resolve = functools.partial(self._resolve, body, look_up=key_digest is None)
-            response, compute = await loop.run_in_executor(self._lookups, resolve)
-            if response is None:
-                response = await loop.run_in_executor(self._computes, compute)
+            answer, compute = await loop.run_in_executor(self._lookups, resolve)
+            if answer is None:
+                answer = await loop.run_in_executor(self._computes, compute)
             if inline:
-                self._memo[query.digest] = response["key"]
+                self._memo[query.digest] = answer.key
                 self._memo.move_to_end(query.digest)
                 if len(self._memo) > BODY_MEMO_ENTRIES:
                     self._memo.popitem(last=False)
-            return response
+            return answer
         finally:
             # Success or failure, release the waiters: after a failure they
             # find no memo entry and run their own path.
             if leads:
                 self._flights.pop(query.digest).set()
 
-    def _resolve(self, body: dict, look_up: bool) -> tuple[dict | None, Callable[[], dict]]:
+    def _resolve(
+        self, body: dict, look_up: bool
+    ) -> tuple[Answer | None, Callable[[], Answer]]:
         """Parse and fingerprint a query body, and look it up if ``look_up``.
 
-        Runs on the lookup thread.  Returns the cached response (``None``
+        Runs on the lookup thread.  Returns the cached answer (``None``
         on a miss or without a lookup) and the compute of this query.
         """
         rankings, table = _parse_inputs(body)
@@ -592,20 +618,20 @@ class ConsensusHTTPServer:
             strategy=body.get("strategy"),
             delta=delta,
         )
-        response = self.service.lookup(key.digest) if look_up else None
-        return response, functools.partial(self.service.compute, key, rankings, table, delta)
+        answer = self.service.lookup(key.digest) if look_up else None
+        return answer, functools.partial(self.service.compute, key, rankings, table, delta)
 
-    async def _handle_aggregate(self, query: _Query) -> dict:
+    async def _handle_aggregate(self, query: _Query) -> bytes:
         """``POST /aggregate``: full cached-or-computed consensus payload."""
-        return await self._run_query(query)
+        return _answer_body(await self._run_query(query))
 
     async def _handle_fairness(self, query: _Query) -> dict:
         """``POST /fairness``: fairness projection of the same cache entry."""
-        response = await self._run_query(query)
-        result = response["result"]
+        answer = await self._run_query(query)
+        result = json.loads(answer.result)
         return {
-            "key": response["key"],
-            "cached": response["cached"],
+            "key": answer.key,
+            "cached": answer.cached,
             "method": result["method"],
             "method_label": result["method_label"],
             "pd_loss": result["pd_loss"],
@@ -699,14 +725,16 @@ class ConsensusHTTPServer:
         operation = functools.partial(streaming.update, add=add, remove=remove)
         return await asyncio.get_running_loop().run_in_executor(self._computes, operation)
 
-    async def _handle_consensus(self, body: dict) -> dict:
+    async def _handle_consensus(self, body: dict) -> bytes:
         """``GET /consensus``: the streaming profile's cached consensus."""
         if self._streaming is None:
             raise _BadRequest(
                 "no streaming profile: POST /update with rankings first"
             )
-        operation = self._streaming.aggregate
-        return await asyncio.get_running_loop().run_in_executor(self._computes, operation)
+        answer, profile_version = await asyncio.get_running_loop().run_in_executor(
+            self._computes, self._streaming.answer
+        )
+        return _answer_body(answer, profile_version=profile_version)
 
     async def _handle_stats(self, body: dict) -> dict:
         """``GET /stats``: cache, admission, latency, and registry counters."""

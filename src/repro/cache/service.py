@@ -12,6 +12,11 @@ this one payload, so cached and cold responses can be compared bit-for-bit.
 content-addressed :class:`~repro.cache.store.ResultCache`: equal queries
 (under the invariances of :mod:`repro.cache.fingerprint`) are served from
 cache, and every response carries its key digest plus a ``cached`` flag.
+
+A payload is encoded once: :func:`consensus_json` returns its canonical JSON
+bytes, which the cache stores and the HTTP server splices into its responses
+(:class:`Answer`).  The dict-returning entry points parse those bytes afresh
+on every call, so a caller that mutates its dict cannot alter the cache.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Mapping
+from dataclasses import dataclass
 
 from repro.cache.fingerprint import CacheKey, cache_key
 from repro.cache.store import ResultCache
@@ -33,7 +39,13 @@ from repro.fairness.report import fairness_row
 from repro.fairness.thresholds import FairnessThresholds
 from repro.io.serialization import canonical_json
 
-__all__ = ["ConsensusCacheService", "compute_consensus_payload", "resolve_method"]
+__all__ = [
+    "Answer",
+    "ConsensusCacheService",
+    "compute_consensus_payload",
+    "consensus_json",
+    "resolve_method",
+]
 
 
 def resolve_method(method: str, strategy: str | None = None):
@@ -54,19 +66,18 @@ def resolve_method(method: str, strategy: str | None = None):
     return aggregator
 
 
-def compute_consensus_payload(
+def consensus_json(
     rankings: RankingSet,
     table: CandidateTable,
     method: str = "fair-borda",
     strategy: str | None = None,
     delta: FairnessThresholds | float | Mapping[str, float] = 0.1,
-) -> dict:
-    """Compute one consensus query end-to-end and return the JSON-safe payload.
+) -> bytes:
+    """Compute one consensus query end-to-end; return its canonical JSON bytes.
 
-    The payload is normalised through a canonical-JSON round trip before it is
-    returned, so a freshly computed payload, its memory-cached copy, and its
-    disk-round-tripped copy compare equal with ``==`` — the bit-identity
-    contract the cache benchmarks assert.
+    The bytes are :func:`~repro.io.serialization.canonical_json` of the
+    payload, the exact text the cache keeps in memory and embeds in its disk
+    blobs.
     """
     thresholds = FairnessThresholds.coerce(delta)
     aggregator = resolve_method(method, strategy)
@@ -92,7 +103,44 @@ def compute_consensus_payload(
         "fairness": fairness_row(consensus, table),
         "diagnostics": result.diagnostics,
     }
-    return json.loads(canonical_json(payload))
+    return canonical_json(payload).encode()
+
+
+def compute_consensus_payload(
+    rankings: RankingSet,
+    table: CandidateTable,
+    method: str = "fair-borda",
+    strategy: str | None = None,
+    delta: FairnessThresholds | float | Mapping[str, float] = 0.1,
+) -> dict:
+    """Compute one consensus query end-to-end and return the JSON-safe payload.
+
+    The payload is :func:`consensus_json` parsed back, so a freshly computed
+    payload, its memory-cached copy, and its disk-round-tripped copy compare
+    equal with ``==`` — the bit-identity contract the cache benchmarks
+    assert.
+    """
+    return json.loads(
+        consensus_json(rankings, table, method=method, strategy=strategy, delta=delta)
+    )
+
+
+@dataclass(frozen=True)
+class Answer:
+    """One answered consensus query, with the payload still encoded.
+
+    ``key`` is the cache-key digest, ``cached`` whether the payload was
+    replayed from the cache, and ``result`` the payload's canonical JSON
+    bytes as the cache stores them.
+    """
+
+    key: str
+    cached: bool
+    result: bytes
+
+    def to_dict(self) -> dict:
+        """The ``{"key", "cached", "result"}`` response with a freshly parsed result."""
+        return {"key": self.key, "cached": self.cached, "result": json.loads(self.result)}
 
 
 class ConsensusCacheService:
@@ -126,23 +174,25 @@ class ConsensusCacheService:
 
         Returns ``{"key": <digest>, "cached": <bool>, "result": <payload>}``
         where ``result`` is exactly the :func:`compute_consensus_payload`
-        value — byte-identical whether it was computed now or replayed.
-        This is :meth:`lookup` on the query's key, then :meth:`compute` on a
-        miss: one counted cache lookup per query.
+        value — byte-identical whether it was computed now or replayed, and
+        parsed afresh for this call.  This is :meth:`lookup` on the query's
+        key, then :meth:`compute` on a miss: one counted cache lookup per
+        query.
         """
         key = cache_key(rankings, table, method=method, strategy=strategy, delta=delta)
-        return self.lookup(key.digest) or self.compute(key, rankings, table, delta)
+        answer = self.lookup(key.digest) or self.compute(key, rankings, table, delta)
+        return answer.to_dict()
 
-    def lookup(self, digest: str) -> dict | None:
+    def lookup(self, digest: str) -> Answer | None:
         """Answer from the cache entry at ``digest``, or ``None`` on a miss.
 
-        One counted :meth:`ResultCache.get`; a hit returns the
-        :meth:`aggregate` response shape with ``cached`` true.
+        One counted :meth:`ResultCache.get_bytes`; a hit is an
+        :class:`Answer` with ``cached`` true.
         """
-        payload = self._cache.get(digest)
-        if payload is None:
+        data = self._cache.get_bytes(digest)
+        if data is None:
             return None
-        return {"key": digest, "cached": True, "result": payload}
+        return Answer(digest, True, data)
 
     def compute(
         self,
@@ -150,7 +200,7 @@ class ConsensusCacheService:
         rankings: RankingSet,
         table: CandidateTable,
         delta: FairnessThresholds | float | Mapping[str, float] = 0.1,
-    ) -> dict:
+    ) -> Answer:
         """Compute the query ``key`` addresses, store it, and answer uncached.
 
         ``key`` must be :func:`cache_key` of these inputs and ``delta``; the
@@ -160,7 +210,7 @@ class ConsensusCacheService:
         # The strategy is canonicalised inside the key; compute with the same
         # normalised name so equivalent spellings produce identical payloads.
         started = time.perf_counter()
-        payload = compute_consensus_payload(
+        data = consensus_json(
             rankings,
             table,
             method=key.method,
@@ -171,8 +221,8 @@ class ConsensusCacheService:
         # The observed compute cost rides in the entry's metadata across
         # tiers; every later hit adds it to recompute_seconds_saved.
         digest = key.digest
-        self._cache.put(digest, payload, compute_seconds=elapsed)
-        return {"key": digest, "cached": False, "result": payload}
+        self._cache.put_bytes(digest, data, compute_seconds=elapsed)
+        return Answer(digest, False, data)
 
     def stats(self) -> dict:
         """JSON-safe snapshot of the cache counters."""

@@ -7,14 +7,21 @@ blob per digest, written atomically (temp file + :func:`os.replace`) so a
 crash mid-write never leaves a truncated blob under the final name.  Reads
 fall through memory → disk; a disk hit is promoted back into memory.
 
+The memory tier keeps each payload as its canonical JSON bytes
+(:func:`~repro.io.serialization.canonical_json`, about a fifth of the
+payload's size as Python objects), which the HTTP server splices into its
+responses unparsed (:meth:`ResultCache.get_bytes`); :meth:`ResultCache.get`
+parses them afresh on every call, so no caller shares a dict with the cache.
+
 Each blob is an *envelope* ``{"meta": {...}, "payload": {...}}``: the payload
 is exactly the canonical-JSON consensus result (still bit-identical to cold
 computation), and the metadata carries the entry's observed
 ``compute_seconds`` and its ``stored_at`` stamp — so ``recompute_seconds_saved``
-and the TTL clock survive disk promotions and process restarts.  Older
-envelopes (whose metadata also carried a hit ``frequency``, now ignored) and
-pre-envelope blobs (a bare payload object, loaded with default metadata)
-still load.
+and the TTL clock survive disk promotions and process restarts.  The
+envelope is itself canonical JSON with the payload's bytes embedded
+verbatim.  Older envelopes (whose metadata also carried a hit ``frequency``,
+now ignored) and pre-envelope blobs (a bare payload object, loaded with
+default metadata) still load.
 
 Opt-in TTL expiry (``ResultCache(ttl=...)``) is lazy and covers both tiers:
 a lookup whose entry has aged past the TTL removes it everywhere (counted in
@@ -170,31 +177,29 @@ class CacheStats:
 class _MemoryEntry:
     """One resident payload plus the metadata its disk envelope carries.
 
-    ``stored_at`` is the injectable-clock stamp of the original ``put`` (kept
-    across disk promotions, so TTL measures age since compute, not since
-    promotion); ``compute_seconds`` is the observed cost of computing the
-    payload (0.0 when the caller did not report one).
+    ``payload`` is the payload's canonical JSON bytes.  ``stored_at`` is the
+    injectable-clock stamp of the original ``put`` (kept across disk
+    promotions, so TTL measures age since compute, not since promotion);
+    ``compute_seconds`` is the observed cost of computing the payload (0.0
+    when the caller did not report one).
     """
 
-    payload: dict
+    payload: bytes
     stored_at: float
     compute_seconds: float
 
 
-#: Envelope keys of the on-disk blob format (see the module docstring).
-_PAYLOAD_KEY = "payload"
-_META_KEY = "meta"
+def _wrap_entry(entry: _MemoryEntry) -> str:
+    """The disk-blob envelope of ``entry`` (payload plus metadata) as canonical JSON.
 
-
-def _wrap_entry(entry: _MemoryEntry) -> dict:
-    """The disk-blob envelope of ``entry``: payload plus its metadata."""
-    return {
-        _META_KEY: {
-            "compute_seconds": entry.compute_seconds,
-            "stored_at": entry.stored_at,
-        },
-        _PAYLOAD_KEY: entry.payload,
-    }
+    Byte for byte :func:`canonical_json` of the envelope dict: sorted keys
+    put ``meta`` before ``payload``, and the payload's canonical bytes are
+    what that encode would write for it, so they are embedded as they are.
+    """
+    meta = canonical_json(
+        {"compute_seconds": entry.compute_seconds, "stored_at": entry.stored_at}
+    )
+    return '{"meta":' + meta + ',"payload":' + entry.payload.decode("ascii") + "}"
 
 
 def _unwrap_blob(blob: dict, now: float) -> _MemoryEntry:
@@ -207,11 +212,11 @@ def _unwrap_blob(blob: dict, now: float) -> _MemoryEntry:
     falls back to the defaults.  Other meta keys (the ``frequency`` that
     older envelopes carry) are ignored.
     """
-    payload = blob.get(_PAYLOAD_KEY)
-    meta = blob.get(_META_KEY)
+    payload = blob.get("payload")
+    meta = blob.get("meta")
     if not isinstance(payload, dict) or not isinstance(meta, dict):
         # Legacy pre-envelope blob: the payload itself, default metadata.
-        return _MemoryEntry(blob, stored_at=now, compute_seconds=0.0)
+        return _MemoryEntry(_encode(blob), stored_at=now, compute_seconds=0.0)
     try:
         stored_at = float(meta.get("stored_at", now))
         compute_seconds = float(meta.get("compute_seconds", 0.0))
@@ -220,10 +225,15 @@ def _unwrap_blob(blob: dict, now: float) -> _MemoryEntry:
     except (TypeError, ValueError):
         stored_at, compute_seconds = now, 0.0
     return _MemoryEntry(
-        payload,
+        _encode(payload),
         stored_at=min(stored_at, now),
         compute_seconds=max(0.0, compute_seconds),
     )
+
+
+def _encode(payload: dict) -> bytes:
+    """The canonical JSON bytes the memory tier keeps for ``payload``."""
+    return canonical_json(payload).encode()
 
 
 class DiskTier:
@@ -329,6 +339,13 @@ class DiskTier:
     def store(self, digest: str, payload: dict) -> None:
         """Atomically persist ``payload`` as the blob for ``digest``.
 
+        The blob is the payload's canonical JSON (:meth:`store_text`).
+        """
+        self.store_text(digest, canonical_json(payload))
+
+    def store_text(self, digest: str, blob: str) -> None:
+        """Atomically persist the JSON text ``blob`` (plus a newline) for ``digest``.
+
         Transient failures are retried per the tier's
         :class:`~repro.cache.resilience.RetryPolicy`; a persistent failure
         raises the final :class:`OSError` (after a best-effort cleanup of the
@@ -336,7 +353,7 @@ class DiskTier:
         """
         path = self.path_for(digest)
         temporary = path.with_suffix(".json.tmp")
-        text = canonical_json(payload) + "\n"
+        text = blob + "\n"
 
         def _write_and_rename() -> None:
             self._fs.write_text(temporary, text)
@@ -540,11 +557,21 @@ class ResultCache:
     def get(self, digest: str) -> dict | None:
         """Return the cached payload for ``digest``, or ``None`` on a miss.
 
+        :meth:`get_bytes` parsed: every call returns a new dict, so a caller
+        may change it without touching the cached entry.
+        """
+        data = self.get_bytes(digest)
+        return None if data is None else json.loads(data)
+
+    def get_bytes(self, digest: str) -> bytes | None:
+        """Return the cached payload's canonical JSON bytes, or ``None`` on a miss.
+
         An entry that has aged past the TTL — in either tier — is removed and
         reported as a miss (counted in ``expirations``), so the caller
         recomputes.  While the disk breaker is open the disk tier is skipped
         entirely (memory-only service); a half-open probe read decides
-        whether it closes again.
+        whether it closes again.  A disk hit re-encodes the blob's payload
+        canonically before it enters the memory tier.
         """
         with self._lock:
             now = self._clock()
@@ -579,6 +606,18 @@ class ResultCache:
     ) -> None:
         """Store ``payload`` under ``digest`` in both tiers.
 
+        :meth:`put_bytes` of the payload's canonical JSON; the cache keeps
+        no reference to ``payload`` itself.
+        """
+        self.put_bytes(digest, _encode(payload), compute_seconds=compute_seconds)
+
+    def put_bytes(
+        self, digest: str, data: bytes, compute_seconds: float | None = None
+    ) -> None:
+        """Store a payload given as its canonical JSON bytes ``data`` in both tiers.
+
+        ``data`` must be :func:`canonical_json` of the payload, encoded: the
+        memory tier keeps it as is and the disk blob embeds it verbatim.
         ``compute_seconds`` is the observed cost of producing the payload,
         which every later hit adds to ``recompute_seconds_saved``; omit it and
         the entry is priced as free.
@@ -589,7 +628,7 @@ class ResultCache:
         """
         with self._lock:
             entry = _MemoryEntry(
-                payload,
+                data,
                 stored_at=self._clock(),
                 compute_seconds=max(0.0, float(compute_seconds or 0.0)),
             )
@@ -597,9 +636,9 @@ class ResultCache:
             if self._disk is None or not self._breaker.allow():
                 return
             try:
-                self._disk.store(digest, _wrap_entry(entry))
+                self._disk.store_text(digest, _wrap_entry(entry))
             except OSError:
-                # store() raises without counting; +1 is the final failure.
+                # store_text() raises without counting; +1 is the final failure.
                 self._disk_errors += self._disk.pop_errors() + 1
                 self._disk_corruptions += self._disk.pop_corruptions()
                 self._breaker.record_failure()

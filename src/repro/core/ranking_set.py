@@ -250,8 +250,15 @@ class RankingSet:
     # aggregate matrices
     # ------------------------------------------------------------------
     #: Target byte budget for one boolean comparison block of the chunked
-    #: broadcast (keeps peak memory bounded at ~64 MiB regardless of scale).
-    _CHUNK_BYTE_BUDGET = 1 << 26
+    #: broadcast.  A cold build holds two blocks at once (the next one is
+    #: allocated before the previous one is released) beside the n x n
+    #: accumulators and the narrowed positions, so its traced peak stays
+    #: within 2 x budget + 18 n^2 + m n w bytes, w the position width (1 byte
+    #: up to n = 256): 4.4 MiB at n = 200, m = 500.  2 MiB won a paired sweep
+    #: of 256 KiB-64 MiB over both chunked kernels (docs/ARCHITECTURE.md): the
+    #: n = 200, m = 500 build is ~15% faster than at 64 MiB, and smaller
+    #: budgets pay an n x n reduce per few rows at n = 500 and small m.
+    _CHUNK_BYTE_BUDGET = 1 << 21
 
     #: Most rankings one chunk of the unweighted kernel holds: it sums each
     #: chunk's comparisons in int16, which is exact up to this many rows.
@@ -318,9 +325,12 @@ class RankingSet:
         converted to float64 once.  A chunk's int16 sum cannot overflow and
         every entry is an exact integer count, so the matrix is exact for
         any ``m``.  The weighted matrix keeps a float64 ``einsum`` of each
-        chunk's weights against its comparisons.  Both variants are cached
-        because several aggregators request them for the same (immutable)
-        ranking set.
+        chunk's weights against its comparisons; with weights that are not
+        dyadic rationals, where a float sum depends on its order, the chunk
+        boundaries can move the last ulp of an entry (as the streaming
+        patches of :meth:`with_added`/:meth:`with_removed` already can).
+        Both variants are cached because several aggregators request them
+        for the same (immutable) ranking set.
         """
         if weighted and self._weighted_precedence_cache is not None:
             return self._weighted_precedence_cache

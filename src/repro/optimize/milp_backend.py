@@ -23,18 +23,24 @@ integer-feasible incumbent, that incumbent is returned and the solution is
 marked non-optimal; fairness constraints still hold for it (it is feasible),
 only PD-loss optimality is lost.  This mirrors how a practitioner would run
 the exact method on large instances without a commercial solver.
+
+scipy is imported inside the two functions that call it, so importing the
+package (and serving the methods that never solve a MILP) does not load it;
+the first exact solve of a process pays the import once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.exceptions import InfeasibleProblemError, SolverError
 from repro.optimize.model import LinearOrderingModel
+
+if TYPE_CHECKING:
+    from scipy.optimize import LinearConstraint
 
 __all__ = ["MilpSolution", "solve_linear_ordering"]
 
@@ -63,6 +69,9 @@ def _build_constraints(
     triples: list[tuple[int, int, int]],
 ) -> list[LinearConstraint]:
     """Assemble scipy ``LinearConstraint`` objects for triangles + extra constraints."""
+    from scipy import sparse
+    from scipy.optimize import LinearConstraint
+
     constraints: list[LinearConstraint] = []
     n_variables = model.n_total_variables
     if triples:
@@ -100,6 +109,8 @@ def _run_milp(
     mip_rel_gap: float | None,
 ) -> tuple[np.ndarray, bool]:
     """Run one MILP solve; return the assignment and whether it is proven optimal."""
+    from scipy.optimize import Bounds, milp
+
     n_pairs = model.index.n_variables
     n_variables = model.n_total_variables
     constraints = _build_constraints(model, triples)

@@ -39,7 +39,7 @@ from repro.cache.fingerprint import (
     profile_digest,
     profile_tokens,
 )
-from repro.cache.service import compute_consensus_payload, resolve_method
+from repro.cache.service import compute_consensus_payload, consensus_json, resolve_method
 from repro.core.candidates import CandidateTable
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
@@ -121,7 +121,7 @@ class StreamingConsensusEngine:
         self._tokens: list[bytes] = []
         self._version = 0
         self._previous: Ranking | None = None
-        self._payload: dict | None = None
+        self._payload: bytes | None = None
         self._payload_version = -1
         if rankings is not None:
             if rankings.n_candidates != table.n_candidates:
@@ -307,24 +307,30 @@ class StreamingConsensusEngine:
 
         :func:`compute_consensus_payload` on the live set, so bit-identical
         to the same call on :meth:`rebuild` — the cold O(m n^2) precedence
-        build is replaced by the incremental cache patches.  The payload is
-        cached per profile version, so repeated reads between updates are
-        free.
+        build is replaced by the incremental cache patches.  Parsed afresh
+        from :meth:`consensus_json` on every call.
+        """
+        return json.loads(self.consensus_json())
+
+    def consensus_json(self) -> bytes:
+        """The canonical JSON bytes of :meth:`consensus`.
+
+        :func:`~repro.cache.service.consensus_json` on the live set, computed
+        once per profile version, so repeated reads between updates do not
+        recompute.
         """
         rankings = self._require_profile()
-        if self._payload is not None and self._payload_version == self._version:
-            return self._payload
-        payload = compute_consensus_payload(
-            rankings,
-            self._table,
-            method=self._method,
-            strategy=self._strategy,
-            delta=self._thresholds,
-        )
-        self._previous = Ranking(payload["consensus"]["order"])
-        self._payload = payload
-        self._payload_version = self._version
-        return payload
+        if self._payload is None or self._payload_version != self._version:
+            self._payload = consensus_json(
+                rankings,
+                self._table,
+                method=self._method,
+                strategy=self._strategy,
+                delta=self._thresholds,
+            )
+            self._payload_version = self._version
+            self._previous = Ranking(json.loads(self._payload)["consensus"]["order"])
+        return self._payload
 
     def repair(self) -> dict:
         """Warm-started update-and-repair from the previous consensus.

@@ -8,6 +8,9 @@
   batch cache key — the engine's incrementally-maintained fingerprint slots
   straight into :class:`~repro.cache.fingerprint.CacheKey`, so a streamed
   result and a batch result for the same profile share one content address.
+  :meth:`answer` is the same lookup with the payload left as the canonical
+  JSON bytes the cache stores, which the HTTP server splices into its
+  response.
 * :meth:`update` applies an add/remove batch and then *invalidates* every
   cache entry served for the old profile, recording the new profile version
   in the cache stats (``invalidations`` / ``profile_version`` counters) so
@@ -24,6 +27,7 @@ import time
 from collections.abc import Sequence
 
 from repro.cache.fingerprint import CacheKey, fingerprint_thresholds
+from repro.cache.service import Answer
 from repro.cache.store import ResultCache
 from repro.exceptions import ValidationError
 from repro.streaming.engine import StreamingConsensusEngine
@@ -124,10 +128,21 @@ class StreamingConsensusService:
     def aggregate(self) -> dict:
         """Serve the current profile's consensus, computing on a cache miss.
 
-        The key is built from the engine's incremental fingerprint, so it is
-        identical to the batch :func:`repro.cache.fingerprint.cache_key` of a
-        rebuilt profile — cached entries are shared across the streaming and
-        batch paths, and invalidated (not merely evicted) on profile change.
+        Returns ``{"key", "cached", "result", "profile_version"}``:
+        :meth:`answer` with the payload parsed afresh for this call.
+        """
+        answer, profile_version = self.answer()
+        return {**answer.to_dict(), "profile_version": profile_version}
+
+    def answer(self) -> tuple[Answer, int]:
+        """Answer the current profile's consensus query, computing on a cache miss.
+
+        Returns the :class:`~repro.cache.service.Answer` and the profile
+        version it answers for.  The key is built from the engine's
+        incremental fingerprint, so it is identical to the batch
+        :func:`repro.cache.fingerprint.cache_key` of a rebuilt profile —
+        cached entries are shared across the streaming and batch paths, and
+        invalidated (not merely evicted) on profile change.
         """
         with self._lock:
             profile = self._engine.profile_fingerprint
@@ -144,23 +159,18 @@ class StreamingConsensusService:
                 thresholds=fingerprint_thresholds(self._engine.thresholds),
             )
             digest = key.digest
-            payload = self._cache.get(digest)
-            cached = payload is not None
-            if payload is None:
+            data = self._cache.get_bytes(digest)
+            cached = data is not None
+            if data is None:
                 started = time.perf_counter()
-                payload = self._engine.consensus()
+                data = self._engine.consensus_json()
                 # Report the observed compute cost so the shared cache's
                 # recompute_seconds_saved counts streamed entries too.
-                self._cache.put(
-                    digest, payload, compute_seconds=time.perf_counter() - started
+                self._cache.put_bytes(
+                    digest, data, compute_seconds=time.perf_counter() - started
                 )
             self._live.add(digest)
-            return {
-                "key": digest,
-                "cached": cached,
-                "result": payload,
-                "profile_version": self._engine.profile_version,
-            }
+            return Answer(digest, cached, data), self._engine.profile_version
 
     def repair(self) -> dict:
         """Warm-started update-and-repair of the current profile (uncached).

@@ -34,6 +34,7 @@ import threading
 from collections import Counter, defaultdict, deque
 from pathlib import Path
 
+from repro.cache.service import Answer
 from repro.cache.store import LocalFilesystem
 
 
@@ -254,12 +255,12 @@ class GateService:
         """Miss: the stand-in caches nothing."""
         return None
 
-    def compute(self, *args, **kwargs) -> dict:
+    def compute(self, *args, **kwargs) -> Answer:
         """Signal arrival, block on the gate, then answer a canned payload."""
         self.calls += 1
         self.started.set()
         assert self.gate.wait(timeout=30), "GateService gate never released"
-        return {"key": "gate", "cached": False, "result": {"ok": True}}
+        return Answer("gate", False, b'{"ok":true}')
 
     def stats(self) -> dict:
         """Empty cache counters."""

@@ -8,8 +8,14 @@ import threading
 
 import pytest
 
-from repro.cache.http import ConsensusHTTPServer, run_server
-from repro.cache.service import ConsensusCacheService, compute_consensus_payload
+from repro.cache.fingerprint import cache_key
+from repro.cache.http import ConsensusHTTPServer, _answer_body, run_server
+from repro.cache.service import (
+    Answer,
+    ConsensusCacheService,
+    compute_consensus_payload,
+    consensus_json,
+)
 from repro.io.csv_io import write_candidate_table, write_ranking_set
 from repro.io.serialization import candidate_table_to_dict, ranking_set_to_dict
 
@@ -122,6 +128,38 @@ class TestEndpoints:
         (status, payload), _ = with_server(scenario)
         assert status == 200
         assert payload["result"]["method_label"] == "Fair-Borda"
+
+    def test_aggregate_body_splices_the_cached_bytes(self, query_body, tiny_table, tiny_rankings):
+        request = json.dumps(query_body).encode()
+
+        async def scenario(host, port):
+            bodies = []
+            for _ in range(2):
+                reader, writer = await asyncio.open_connection(host, port)
+                head = f"POST /aggregate HTTP/1.1\r\nContent-Length: {len(request)}\r\n\r\n"
+                writer.write(head.encode() + request)
+                await writer.drain()
+                bodies.append((await reader.read()).partition(b"\r\n\r\n")[2])
+                writer.close()
+                await writer.wait_closed()
+            return bodies
+
+        (miss, hit), _ = with_server(scenario)
+        key = cache_key(tiny_rankings, tiny_table, delta=DELTA).digest
+        stored = consensus_json(tiny_rankings, tiny_table, delta=DELTA)
+        # json.dumps's envelope, the canonical payload bytes as its result.
+        envelope = f'{{"key": "{key}", "cached": false, "result": '.encode()
+        assert miss == envelope + stored + b"}"
+        assert hit == miss.replace(b'"cached": false', b'"cached": true', 1)
+
+    def test_answer_body_matches_the_json_dumps_envelope(self):
+        answer = Answer("ab12", True, b'{"order":[2,0,1],"pd_loss":0.5}')
+        body = _answer_body(answer, profile_version=3)
+        assert body == (
+            b'{"key": "ab12", "cached": true, "result": {"order":[2,0,1],"pd_loss":0.5}, '
+            b'"profile_version": 3}'
+        )
+        assert json.loads(body) == {**answer.to_dict(), "profile_version": 3}
 
     def test_stats_counters(self, query_body):
         service = ConsensusCacheService()

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cache.store import DiskTier, ResultCache
+from repro.io.serialization import canonical_json
 
 
 def payload(tag: int) -> dict:
@@ -77,6 +78,17 @@ class TestDiskTier:
         blob = json.loads((tmp_path / "a.json").read_text())
         assert blob["payload"] == payload(1)
         assert set(blob["meta"]) == {"compute_seconds", "stored_at"}
+
+    def test_blob_is_the_canonical_json_of_its_envelope(self, tmp_path):
+        # The memory tier's bytes go into the blob verbatim; the file must
+        # still be exactly the canonical encode of the envelope dict, so
+        # cache directories stay valid across versions.
+        stored = {"name": "Zoë", "share": 1 / 3, "order": [2, 0, 1], "none": None}
+        cache = ResultCache(directory=tmp_path, clock=lambda: 12.5)
+        cache.put("a", stored, compute_seconds=0.75)
+        envelope = {"meta": {"compute_seconds": 0.75, "stored_at": 12.5}, "payload": stored}
+        assert (tmp_path / "a.json").read_text() == canonical_json(envelope) + "\n"
+        assert cache.get_bytes("a") == canonical_json(stored).encode()
 
     def test_persists_across_instances(self, tmp_path):
         ResultCache(directory=tmp_path).put("a", payload(1))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,26 @@ class TestPrecedenceMatrix:
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[0, 2] = expected[2, 1] = m
         assert np.array_equal(rankings.precedence_matrix(), expected)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize(("n", "m"), [(200, 500), (500, 500)])
+    def test_cold_build_peak_stays_within_twice_the_chunk_budget(self, n, m, weighted):
+        # The relation stated at _CHUNK_BYTE_BUDGET: two comparison blocks,
+        # the n x n accumulators and the narrowed position copy.
+        rng = np.random.default_rng(n + m)
+        positions = np.argsort(rng.random((m, n)), axis=1).argsort(axis=1)
+        rankings = RankingSet.from_position_matrix(positions, weights=rng.random(m))
+        width = np.min_scalar_type(n - 1).itemsize
+        bound = 2 * RankingSet._CHUNK_BYTE_BUDGET + 18 * n * n + m * n * width
+        tracemalloc.start()
+        try:
+            rankings.precedence_matrix(weighted=weighted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        # Chunked at both scales: well under one block of all m rankings.
+        assert peak < m * n * n / 4
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("seed", [62, 63])

@@ -113,7 +113,9 @@ class TestRandomizedSequences:
             engine.rankings, tiny_table, delta=DELTA
         )
         assert engine.last_consensus.to_list() == payload["consensus"]["order"]
-        assert engine.consensus() is payload
+        # Computed once per profile version; each read parses a new dict.
+        assert engine.consensus_json() is engine.consensus_json()
+        assert engine.consensus() == payload
 
     def test_repair_pd_loss_is_the_kendall_tau_sum(self, tiny_table, rng):
         engine = StreamingConsensusEngine(tiny_table, delta=DELTA)

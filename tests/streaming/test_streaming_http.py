@@ -128,7 +128,7 @@ class TestStreamingEndpoints:
             monkeypatch.setattr(StreamingConsensusService, name, recorded)
 
         spy("update")
-        spy("aggregate")
+        spy("answer")
 
         async def scenario(host, port):
             update = await http_request(host, port, "POST", "/update", first_update)
@@ -136,7 +136,7 @@ class TestStreamingEndpoints:
             return update[0], consensus[0]
 
         assert with_server(scenario) == (200, 200)
-        assert set(threads) == {"update", "aggregate"}
+        assert set(threads) == {"update", "answer"}
         assert all(name.startswith("compute") for name in threads.values()), threads
 
     def test_first_update_requires_the_candidate_table(self):
