@@ -11,7 +11,12 @@ pairwise kernels were built for:
 * the three shared kernels at paper scale: ``favored_mixed_pairs_by_group``
   (vs its naive reference), ``RankingSet.precedence_matrix`` (cold cache,
   at m=100/n=500 and at the served acceptance scale m=500/n=200), and
-  ``kendall_tau_to_set``;
+  ``kendall_tau_to_set``, each row the median of rounds that time the
+  kernels back to back (:func:`perf_timing.paired_median`);
+* ``ingest``: one inline ``/aggregate`` body at the acceptance scale,
+  decoded whole (``json.loads`` + ``ranking_set_from_dict``, the fallback)
+  against the array path (``cut_orders`` + ``parse_orders`` +
+  ``ranking_set_from_dict`` of the matrix), timed back to back in rounds;
 * ``make_mr_fair_sharded`` repairing a batch of Mallows rankings (32 at
   n=200 at full scale) serially vs over a two-process pool.
 
@@ -39,12 +44,12 @@ from __future__ import annotations
 
 import json
 import os
-import timeit
 
 import numpy as np
 from perf_timing import machine_stamp, paired_median
 
 from repro.aggregation.borda import BordaAggregator
+from repro.cache.fingerprint import fingerprint_ranking_set
 from repro.core.distances import kendall_tau_to_set
 from repro.core.pairwise import (
     favored_mixed_pairs_by_group,
@@ -58,6 +63,13 @@ from repro.datagen.mallows import sample_mallows
 from repro.experiments.reporting import render_table
 from repro.fair.make_mr_fair import make_mr_fair, make_mr_fair_reference
 from repro.fair.sharding import make_mr_fair_sharded
+from repro.io.serialization import (
+    candidate_table_to_dict,
+    cut_orders,
+    parse_orders,
+    ranking_set_from_dict,
+    ranking_set_to_dict,
+)
 
 #: Modal-ranking fairness targets matching the Figure 7 scalability dataset.
 _MODAL_TARGETS = {"Race": 0.31, "Gender": 0.44}
@@ -73,6 +85,8 @@ _SCALE_PARAMETERS = {
         "kernel_m": 100,
         "precedence_n": 200,
         "precedence_m": 500,
+        "kernel_rounds": 7,
+        "ingest_rounds": 15,
         "min_speedup": 10.0,
         "sharded_n": 200,
         "sharded_rankings": 32,
@@ -89,6 +103,8 @@ _SCALE_PARAMETERS = {
         "kernel_m": 30,
         "precedence_n": 100,
         "precedence_m": 100,
+        "kernel_rounds": 3,
+        "ingest_rounds": 5,
         "min_speedup": 4.0,
         "sharded_n": 100,
         "sharded_rankings": 8,
@@ -96,11 +112,6 @@ _SCALE_PARAMETERS = {
         "min_sharded_speedup": None,
     },
 }
-
-
-def _best_of(function, repeat: int = 3) -> float:
-    """Minimum wall-clock seconds over ``repeat`` single runs."""
-    return min(timeit.repeat(function, number=1, repeat=repeat))
 
 
 def test_perf_hot_paths(results_directory):
@@ -177,20 +188,19 @@ def test_perf_hot_paths(results_directory):
         favored_mixed_pairs_by_group(kernel_ranking, membership, n_groups),
         favored_mixed_pairs_by_group_naive(kernel_ranking, membership, n_groups),
     )
+    (naive_s, vectorized_s), _ = paired_median(
+        (
+            lambda: favored_mixed_pairs_by_group_naive(kernel_ranking, membership, n_groups),
+            lambda: favored_mixed_pairs_by_group(kernel_ranking, membership, n_groups),
+        ),
+        parameters["kernel_rounds"],
+    )
     kernel_rows = [
         {
             "kernel": "favored_mixed_pairs_by_group",
             "configuration": f"n={kernel_n}, intersection groups",
-            "vectorized_s": _best_of(
-                lambda: favored_mixed_pairs_by_group(
-                    kernel_ranking, membership, n_groups
-                )
-            ),
-            "naive_s": _best_of(
-                lambda: favored_mixed_pairs_by_group_naive(
-                    kernel_ranking, membership, n_groups
-                )
-            ),
+            "vectorized_s": vectorized_s,
+            "naive_s": naive_s,
         }
     ]
 
@@ -198,15 +208,6 @@ def test_perf_hot_paths(results_directory):
 
     def _cold_precedence() -> np.ndarray:
         return RankingSet(base).precedence_matrix()
-
-    kernel_rows.append(
-        {
-            "kernel": "precedence_matrix",
-            "configuration": f"m={kernel_m}, n={kernel_n}, cold cache",
-            "vectorized_s": _best_of(_cold_precedence),
-            "naive_s": None,
-        }
-    )
 
     # The served acceptance scale: one build per cold query.
     precedence_n = parameters["precedence_n"]
@@ -216,28 +217,73 @@ def test_perf_hot_paths(results_directory):
     def _cold_acceptance_precedence() -> np.ndarray:
         return RankingSet(acceptance_base).precedence_matrix()
 
-    kernel_rows.append(
-        {
-            "kernel": "precedence_matrix",
-            "configuration": f"m={precedence_m}, n={precedence_n}, cold cache",
-            "vectorized_s": _best_of(_cold_acceptance_precedence),
-            "naive_s": None,
-        }
-    )
-
     ranking_set = RankingSet(base)
 
     def _set_distance() -> float:
         return kendall_tau_to_set(kernel_ranking, ranking_set)
 
-    kernel_rows.append(
-        {
-            "kernel": "kendall_tau_to_set",
-            "configuration": f"m={kernel_m}, n={kernel_n}",
-            "vectorized_s": _best_of(_set_distance),
-            "naive_s": None,
-        }
+    # One round times all three back to back, so they see the same drift.
+    kernel_seconds, _ = paired_median(
+        (_cold_precedence, _cold_acceptance_precedence, _set_distance),
+        parameters["kernel_rounds"],
     )
+    for (kernel, configuration), seconds in zip(
+        (
+            ("precedence_matrix", f"m={kernel_m}, n={kernel_n}, cold cache"),
+            ("precedence_matrix", f"m={precedence_m}, n={precedence_n}, cold cache"),
+            ("kendall_tau_to_set", f"m={kernel_m}, n={kernel_n}"),
+        ),
+        kernel_seconds,
+    ):
+        kernel_rows.append(
+            {
+                "kernel": kernel,
+                "configuration": configuration,
+                "vectorized_s": seconds,
+                "naive_s": None,
+            }
+        )
+
+    # ------------------------------------------------------------------
+    # ingest: one inline body, decoded whole vs the array path
+    # ------------------------------------------------------------------
+    ingest_table = scalability_table(precedence_n, rng=7)
+    ingest_modal = calibrated_modal_ranking(ingest_table, _MODAL_TARGETS, rng=7)
+    ingest_profile = sample_mallows(ingest_modal, 0.6, precedence_m, rng=7)
+    raw = json.dumps(
+        {
+            "rankings": ranking_set_to_dict(ingest_profile),
+            "candidates": candidate_table_to_dict(ingest_table),
+            "method": "fair-borda",
+            "delta": delta,
+        }
+    ).encode()
+
+    def run_fallback() -> RankingSet:
+        return ranking_set_from_dict(json.loads(raw)["rankings"])
+
+    def run_array() -> RankingSet:
+        rest, text = cut_orders(raw)
+        return ranking_set_from_dict({**rest["rankings"], "orders": parse_orders(text)})
+
+    fallback_set, array_set = run_fallback(), run_array()
+    assert np.array_equal(array_set.position_matrix(), ingest_profile.position_matrix())
+    assert np.array_equal(array_set.position_matrix(), fallback_set.position_matrix())
+    assert array_set.labels == fallback_set.labels
+    assert fingerprint_ranking_set(array_set) == fingerprint_ranking_set(fallback_set)
+    (fallback_s, array_s), (ingest_speedup,) = paired_median(
+        (run_fallback, run_array), parameters["ingest_rounds"]
+    )
+    ingest_rows = [
+        {
+            "n_candidates": precedence_n,
+            "n_rankings": precedence_m,
+            "body_bytes": len(raw),
+            "fallback_s": fallback_s,
+            "array_s": array_s,
+            "speedup": ingest_speedup,
+        }
+    ]
 
     # ------------------------------------------------------------------
     # make_mr_fair_sharded: serial loop vs a two-process pool
@@ -296,6 +342,7 @@ def test_perf_hot_paths(results_directory):
         },
         "make_mr_fair": make_mr_fair_rows,
         "kernels": kernel_rows,
+        "ingest": ingest_rows,
         "make_mr_fair_sharded": sharded_rows,
     }
     (results_directory / "perf_hot_paths.json").write_text(
@@ -307,6 +354,8 @@ def test_perf_hot_paths(results_directory):
             "make_mr_fair (incremental engine vs from-scratch reference)\n"
             + render_table(make_mr_fair_rows, digits=4),
             "shared kernels\n" + render_table(kernel_rows, digits=4),
+            "ingest (json.loads + ranking_set_from_dict vs the array path)\n"
+            + render_table(ingest_rows, digits=4),
             "make_mr_fair_sharded (serial loop vs process pool)\n"
             + render_table(sharded_rows, digits=4),
         ]

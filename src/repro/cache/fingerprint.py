@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.candidates import CandidateTable
-from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
 from repro.fair.registry import canonical_fair_method_name
 from repro.fairness.thresholds import FairnessThresholds
@@ -51,24 +50,22 @@ def _digest(data: bytes) -> str:
 
 
 def profile_tokens(
-    rankings: Sequence[Ranking], weights: Sequence[float] | np.ndarray
+    orders: np.ndarray, weights: Sequence[float] | np.ndarray
 ) -> list[bytes]:
-    """One fixed-width byte token per ranking, in the given order.
+    """One fixed-width byte token per row of a ``k x n`` order matrix, in order.
 
     A token is the ranking's candidate order in the narrowest little-endian
     unsigned type that holds ``n - 1`` (one byte per candidate up to
     n = 256), followed by its weight as a little-endian float64.  Every
     token of an ``n``-candidate profile has the same width, so joining them
-    is unambiguous.  The tokens are built from one ``k x n`` order matrix,
-    with no hashing per ranking.
+    is unambiguous.  The tokens are cut from one narrowed copy of the order
+    matrix, with no hashing per ranking.
     """
-    k = len(rankings)
-    n = rankings[0].n_candidates
+    k, n = orders.shape
     width = np.dtype(np.min_scalar_type(n - 1)).newbyteorder("<")
-    orders = np.concatenate([ranking.order for ranking in rankings])
     rows = np.concatenate(
         [
-            orders.astype(width).view(np.uint8).reshape(k, -1),
+            np.ascontiguousarray(orders, dtype=width).view(np.uint8).reshape(k, -1),
             np.asarray(weights, dtype="<f8").view(np.uint8).reshape(k, 8),
         ],
         axis=1,
@@ -86,13 +83,13 @@ def profile_digest(n_candidates: int, sorted_tokens: list[bytes]) -> str:
 def fingerprint_ranking_set(rankings: RankingSet) -> str:
     """SHA-256 fingerprint of the weighted multiset of base rankings.
 
-    Each ranking contributes one :func:`profile_tokens` token (its order in
-    the narrowest unsigned type, then its weight); the tokens are sorted
-    before one hash over all of them, so the fingerprint is invariant to the
-    construction order of the set.  Labels are excluded: they never
-    influence an aggregation result.
+    Each row of the order matrix contributes one :func:`profile_tokens`
+    token (its order in the narrowest unsigned type, then its weight); the
+    tokens are sorted before one hash over all of them, so the fingerprint
+    is invariant to the construction order of the set.  Labels are
+    excluded: they never influence an aggregation result.
     """
-    tokens = profile_tokens(rankings.rankings, rankings.weights)
+    tokens = profile_tokens(rankings.order_matrix(), rankings.weights)
     tokens.sort()
     return profile_digest(rankings.n_candidates, tokens)
 

@@ -63,8 +63,19 @@ on a lookup thread, and query misses, ``/update`` and ``/consensus`` on one
 pool of one compute thread per CPU (``run_in_executor``, never the loop's
 default pool), so slow aggregations do not stall other connections; the
 :class:`~repro.cache.store.ResultCache` lock keeps the tiers consistent.
-Only the JSON decode of a query body stays on the event loop (``json.loads``
-holds the GIL throughout, so a worker thread would not free the loop).
+
+Ingest of a query body: the event loop hashes it, cuts the
+``rankings.orders`` array out of the raw bytes and decodes the small rest
+(:func:`~repro.io.serialization.cut_orders`); the lookup thread parses the
+cut with numpy into the order matrix
+(:func:`~repro.io.serialization.parse_orders`) before the profile build and
+the fingerprint.  That is the array path.  A body the cut or the parse
+declines is decoded whole with ``json.loads``, as it always was (the
+fallback): on the loop if the cut declines, on the lookup thread if the
+parse does.  Either way the body reaches the same
+:func:`~repro.io.serialization.ranking_set_from_dict`, so responses, cache
+keys and 400 messages do not depend on the path.  ``/stats`` counts the
+paths of inline bodies under ``server.ingest``.
 
 Body memo: each ``/aggregate`` and ``/fairness`` body is hashed once
 (SHA-256) on arrival.  An inline body that was answered before maps to the
@@ -110,6 +121,8 @@ from repro.fair.registry import describe_fair_methods
 from repro.io.csv_io import read_candidate_table, read_ranking_set
 from repro.io.serialization import (
     candidate_table_from_dict,
+    cut_orders,
+    parse_orders,
     ranking_set_from_dict,
     to_jsonable,
 )
@@ -142,12 +155,24 @@ class _Query:
     """One ``/aggregate`` or ``/fairness`` request body, hashed on arrival.
 
     ``body`` is the decoded JSON object, or ``None`` while the body digest is
-    memoised: a memo hit answers without decoding the body at all.
+    memoised: a memo hit answers without decoding the body at all.  When
+    ``orders`` is set, it is the raw ``rankings.orders`` array that
+    :meth:`decode` cut out, and ``body`` is the rest, a placeholder standing
+    for that array.
     """
 
     raw: bytes
     digest: str
     body: dict | None = None
+    orders: bytes | None = None
+
+    def decode(self) -> None:
+        """Decode the body on the loop: the rest around the cut orders, or all of it."""
+        cut = cut_orders(self.raw)
+        if cut is None:
+            self.body = _decode_body(self.raw)
+        else:
+            self.body, self.orders = cut
 
 
 def _answer_body(answer: Answer, **fields: object) -> bytes:
@@ -269,6 +294,8 @@ class ConsensusHTTPServer:
         self._flights: dict[str, asyncio.Event] = {}
         self._memo_hits = 0
         self._coalesced = 0
+        # Ingest paths of inline query bodies, counted on the lookup thread.
+        self._ingest_paths = {"array": 0, "fallback": 0}
         self._lookups: ThreadPoolExecutor | None = None
         self._computes: ThreadPoolExecutor | None = None
         self._streaming: StreamingConsensusService | None = None
@@ -489,7 +516,7 @@ class ConsensusHTTPServer:
             if path in _QUERY_PATHS:
                 request = _Query(raw_body, hashlib.sha256(raw_body).hexdigest())
                 if request.digest not in self._memo:
-                    request.body = _decode_body(raw_body)
+                    request.decode()
             else:
                 request = _decode_body(raw_body)
         except _BadRequest as exc:
@@ -577,7 +604,9 @@ class ConsensusHTTPServer:
                 if flight is not None:
                     self._coalesced += 1
                 return answer
-        body = query.body if query.body is not None else _decode_body(query.raw)
+        if query.body is None:
+            query.decode()
+        body = query.body
         # CSV bodies name server-side files whose contents can change.
         inline = "rankings_csv" not in body and "candidates_csv" not in body
         leads = inline and query.digest not in self._flights
@@ -585,7 +614,9 @@ class ConsensusHTTPServer:
             self._flights[query.digest] = asyncio.Event()
         try:
             # A memo lookup that missed was this query's one counted lookup.
-            resolve = functools.partial(self._resolve, body, look_up=key_digest is None)
+            resolve = functools.partial(
+                self._resolve, query, inline, look_up=key_digest is None
+            )
             answer, compute = await loop.run_in_executor(self._lookups, resolve)
             if answer is None:
                 answer = await loop.run_in_executor(self._computes, compute)
@@ -601,14 +632,33 @@ class ConsensusHTTPServer:
             if leads:
                 self._flights.pop(query.digest).set()
 
+    def _ingest(self, query: _Query) -> dict:
+        """An inline query body with its profile's orders in place (lookup thread).
+
+        When :func:`parse_orders` reads the cut made on the loop, its order
+        matrix becomes ``rankings.orders``: the array path.  Otherwise the
+        body takes the fallback: it was decoded whole on the loop, or, if
+        only the parse declined, it is decoded whole here.
+        """
+        body = query.body
+        matrix = None if query.orders is None else parse_orders(query.orders)
+        if matrix is None:
+            self._ingest_paths["fallback"] += 1
+            return body if query.orders is None else _decode_body(query.raw)
+        self._ingest_paths["array"] += 1
+        return {**body, "rankings": {**body["rankings"], "orders": matrix}}
+
     def _resolve(
-        self, body: dict, look_up: bool
+        self, query: _Query, inline: bool, look_up: bool
     ) -> tuple[Answer | None, Callable[[], Answer]]:
         """Parse and fingerprint a query body, and look it up if ``look_up``.
 
-        Runs on the lookup thread.  Returns the cached answer (``None``
-        on a miss or without a lookup) and the compute of this query.
+        Runs on the lookup thread.  Only an ``inline`` body is ingested
+        (:meth:`_ingest`); a CSV body counts toward neither ingest path.
+        Returns the cached answer (``None`` on a miss or without a lookup)
+        and the compute of this query.
         """
+        body = self._ingest(query) if inline else query.body
         rankings, table = _parse_inputs(body)
         delta = body.get("delta", 0.1)
         key = cache_key(
@@ -756,6 +806,7 @@ class ConsensusHTTPServer:
                     "hits": self._memo_hits,
                     "coalesced": self._coalesced,
                 },
+                "ingest": dict(self._ingest_paths),
                 "read_timeouts": self._read_timeouts,
                 "drain_cancelled": self._drain_cancelled,
                 "draining": self._draining,

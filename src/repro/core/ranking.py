@@ -35,7 +35,14 @@ class Ranking:
     __slots__ = ("_order", "_positions")
 
     def __init__(self, order: Sequence[int] | np.ndarray, validate: bool = True) -> None:
-        order_array = np.asarray(order, dtype=np.int64)
+        try:
+            order_array = np.asarray(order, dtype=np.int64)
+        except OverflowError:
+            values = [int(value) for value in order]
+            raise RankingError(
+                "ranking must contain candidate ids 0..n-1; "
+                f"got values in [{min(values)}, {max(values)}] for n={len(values)}"
+            ) from None
         if order_array.ndim != 1:
             raise RankingError(
                 f"a ranking must be a 1-D sequence, got shape {order_array.shape}"
@@ -67,6 +74,18 @@ class Ranking:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def _from_arrays(cls, order: np.ndarray, positions: np.ndarray) -> "Ranking":
+        """A ranking over a verified read-only order and its inverse.
+
+        Neither array is checked or copied: :class:`RankingSet` builds its
+        members this way from rows of its order and position matrices.
+        """
+        ranking = cls.__new__(cls)
+        ranking._order = order
+        ranking._positions = positions
+        return ranking
+
     @classmethod
     def identity(cls, n: int) -> "Ranking":
         """Return the identity ranking ``0 ≺ 1 ≺ ... ≺ n-1``."""

@@ -1,10 +1,12 @@
 """A set of base rankings (``R`` in the paper) produced by ``m`` rankers.
 
-:class:`RankingSet` wraps a list of :class:`~repro.core.ranking.Ranking`
-objects over the same candidate universe and provides the aggregate views the
-consensus methods consume: the precedence matrix ``W`` (Definition 11), the
-position matrix used by positional methods (Borda), and per-ranking weights
-for weighted aggregation baselines.
+:class:`RankingSet` holds the profile as its ``m x n`` order matrix (row
+``r`` lists ranking ``r``'s candidates best to worst) and the position matrix
+scattered from it, over one candidate universe, and provides the aggregate
+views the consensus methods consume: the precedence matrix ``W``
+(Definition 11), the position matrix used by positional methods (Borda), and
+per-ranking weights for weighted aggregation baselines.  The member
+:class:`~repro.core.ranking.Ranking` objects are built only when asked for.
 """
 
 from __future__ import annotations
@@ -19,6 +21,23 @@ from repro.exceptions import RankingError, ValidationError
 __all__ = ["RankingSet"]
 
 
+def _scatter_positions(orders: np.ndarray) -> np.ndarray | None:
+    """The position matrix of an ``m x n`` order matrix, or ``None``.
+
+    ``positions[r, orders[r, i]] = i``.  ``None`` means some row is not a
+    permutation of ``0..n-1``: an id out of range, or a repeated id, which
+    leaves some candidate without a position.
+    """
+    m, n = orders.shape
+    if orders.min() < 0 or orders.max() >= n:
+        return None
+    positions = np.full((m, n), -1, dtype=np.int64)
+    positions[np.arange(m)[:, np.newaxis], orders] = np.arange(n, dtype=np.int64)
+    if (positions < 0).any():
+        return None
+    return positions
+
+
 class RankingSet:
     """An ordered collection of base rankings over one candidate universe.
 
@@ -31,8 +50,8 @@ class RankingSet:
         Optional per-ranking labels (e.g. ranker names, exam subjects, or
         years).  Defaults to ``r1, r2, ...``.
     weights:
-        Optional non-negative per-ranking weights used by weighted consensus
-        methods.  Defaults to uniform weight 1.
+        Optional non-negative, finite per-ranking weights used by weighted
+        consensus methods.  Defaults to uniform weight 1.
     """
 
     def __init__(
@@ -41,55 +60,106 @@ class RankingSet:
         labels: Sequence[str] | None = None,
         weights: Sequence[float] | None = None,
     ) -> None:
-        rankings = list(rankings)
-        if not rankings:
+        members = tuple(rankings)
+        if not members:
             raise RankingError("a ranking set must contain at least one ranking")
-        for index, ranking in enumerate(rankings):
+        self._check_members(members, members[0])
+        self._adopt(
+            np.stack([ranking.order for ranking in members]),
+            np.stack([ranking.positions for ranking in members]),
+            labels,
+            weights,
+        )
+        self._members = members
+
+    @staticmethod
+    def _check_members(
+        members: Sequence[Ranking], first: Ranking | RankingSet, start: int = 0
+    ) -> None:
+        """Raise unless every member is a :class:`Ranking` over as many
+        candidates as ``first``.
+
+        ``start`` is the index of ``members[0]`` in the set they will join,
+        which the messages name.
+        """
+        for index, ranking in enumerate(members, start):
             if not isinstance(ranking, Ranking):
                 raise RankingError(
                     f"item {index} is not a Ranking (got {type(ranking).__name__})"
                 )
-        n = rankings[0].n_candidates
-        for index, ranking in enumerate(rankings):
+        n = first.n_candidates
+        for index, ranking in enumerate(members, start):
             if ranking.n_candidates != n:
                 raise RankingError(
                     "all base rankings must cover the same candidates: "
                     f"ranking 0 has {n}, ranking {index} has {ranking.n_candidates}"
                 )
-        self._rankings = tuple(rankings)
-        self._n = n
+
+    def _adopt(
+        self,
+        orders: np.ndarray,
+        positions: np.ndarray,
+        labels: Sequence[str] | None,
+        weights: Sequence[float] | None,
+    ) -> None:
+        """The one initialiser: take verified order and position matrices.
+
+        Every constructor ends here.  ``orders`` and ``positions`` are
+        ``m x n`` int64 matrices, inverse row by row; they are frozen in
+        place.  Labels and weights are checked here, once for every path.
+        """
+        m, self._n = orders.shape
+        orders.setflags(write=False)
+        positions.setflags(write=False)
+        self._orders = orders
+        self._positions = positions
+        self._members: tuple[Ranking, ...] | None = None
 
         if labels is not None:
-            if len(labels) != len(rankings):
-                raise ValidationError(
-                    f"got {len(labels)} labels for {len(rankings)} rankings"
-                )
+            if len(labels) != m:
+                raise ValidationError(f"got {len(labels)} labels for {m} rankings")
             self._labels = tuple(str(label) for label in labels)
         else:
-            self._labels = tuple(f"r{i + 1}" for i in range(len(rankings)))
+            self._labels = tuple(f"r{i + 1}" for i in range(m))
 
         if weights is not None:
             weight_array = np.asarray(weights, dtype=float)
-            if weight_array.shape != (len(rankings),):
+            if weight_array.shape != (m,):
                 raise ValidationError(
                     f"weights must have one entry per ranking; got shape "
-                    f"{weight_array.shape} for {len(rankings)} rankings"
+                    f"{weight_array.shape} for {m} rankings"
                 )
             if (weight_array < 0).any():
                 raise ValidationError("ranking weights must be non-negative")
+            # NaN passes both neighbouring checks, and one NaN or infinite
+            # weight turns every weighted precedence entry into NaN.
+            if not np.isfinite(weight_array).all():
+                raise ValidationError("ranking weights must be finite")
             if weight_array.sum() == 0:
                 raise ValidationError("at least one ranking weight must be positive")
             self._weights = weight_array
         else:
-            self._weights = np.ones(len(rankings), dtype=float)
+            self._weights = np.ones(m, dtype=float)
         self._weights.setflags(write=False)
 
         self._precedence_cache: np.ndarray | None = None
         self._weighted_precedence_cache: np.ndarray | None = None
         self._margin_cache: np.ndarray | None = None
         self._weighted_margin_cache: np.ndarray | None = None
-        self._position_cache: np.ndarray | None = None
         self._unit_weights_cache: np.ndarray | None = None
+
+    @classmethod
+    def _from_matrices(
+        cls,
+        orders: np.ndarray,
+        positions: np.ndarray,
+        labels: Sequence[str] | None = None,
+        weights: Sequence[float] | None = None,
+    ) -> "RankingSet":
+        """A set over verified order and position matrices (see :meth:`_adopt`)."""
+        ranking_set = cls.__new__(cls)
+        ranking_set._adopt(orders, positions, labels, weights)
+        return ranking_set
 
     # ------------------------------------------------------------------
     # constructors
@@ -97,11 +167,39 @@ class RankingSet:
     @classmethod
     def from_orders(
         cls,
-        orders: Iterable[Sequence[int]],
+        orders: Iterable[Sequence[int]] | np.ndarray,
         labels: Sequence[str] | None = None,
         weights: Sequence[float] | None = None,
     ) -> "RankingSet":
-        """Build a ranking set from raw candidate-order sequences."""
+        """Build a ranking set from raw candidate-order sequences.
+
+        Rectangular integer input (nested lists of ints, or an integer
+        matrix) becomes the order matrix in one ``np.asarray``, is validated
+        in one vectorised pass, and has its positions scattered once; no
+        member :class:`Ranking` is built.  Ragged input, input that is not
+        all integers, and input with a row that is not a permutation take
+        the per-ranking path, which raises the message of the first bad
+        ranking.
+        """
+        if not isinstance(orders, np.ndarray):
+            orders = list(orders)
+        try:
+            matrix = np.asarray(orders)
+        except ValueError:  # ragged
+            matrix = None
+        if (
+            matrix is not None
+            and matrix.ndim == 2
+            and matrix.dtype.kind == "i"
+            and matrix.shape[0] > 0
+            and matrix.shape[1] > 0
+        ):
+            # Lists went through np.asarray, which made a fresh matrix; a
+            # caller's array is copied, so later mutation cannot reach the set.
+            matrix = matrix.astype(np.int64, order="C", copy=matrix is orders)
+            positions = _scatter_positions(matrix)
+            if positions is not None:
+                return cls._from_matrices(matrix, positions, labels, weights)
         rankings = [Ranking(order) for order in orders]
         return cls(rankings, labels=labels, weights=weights)
 
@@ -119,11 +217,10 @@ class RankingSet:
         Row ``r`` maps candidate id -> 0-based position in base ranking ``r``
         (the same layout :meth:`position_matrix` returns, so the two are
         inverses).  This is the fast path for batched generators such as
-        :func:`repro.datagen.mallows.sample_mallows`: the per-ranking order
-        arrays are produced by one vectorised scatter, the member
-        :class:`Ranking` objects skip re-validation, and the position-matrix
-        cache is pre-seeded so downstream kernels (precedence matrix, batched
-        Kendall tau) never re-stack the per-ranking arrays.
+        :func:`repro.datagen.mallows.sample_mallows`: the order matrix is
+        produced by one vectorised scatter, and the position matrix is kept
+        as given, so downstream kernels (precedence matrix, batched Kendall
+        tau) never re-stack per-ranking arrays.
 
         Parameters
         ----------
@@ -134,8 +231,8 @@ class RankingSet:
             When ``True`` (default) every row's permutation property is
             checked (vectorised).  Trusted internal callers can disable it.
         copy:
-            When ``True`` (default) the pre-seeded cache is decoupled from
-            the caller's array, so later caller-side mutation cannot desync
+            When ``True`` (default) the kept matrix is decoupled from the
+            caller's array, so later caller-side mutation cannot desync
             :meth:`position_matrix` from the member rankings.  Callers that
             hand over ownership of a freshly built matrix (e.g. the batched
             Mallows sampler) pass ``False`` to skip the redundant copy; the
@@ -155,8 +252,11 @@ class RankingSet:
         if m == 0:
             raise RankingError("a ranking set must contain at least one ranking")
         if validate:
-            expected = np.arange(n, dtype=np.int64)
-            if not np.array_equal(np.sort(position_matrix, axis=1), np.broadcast_to(expected, (m, n))):
+            # Orders and positions are inverse permutations, so the scatter
+            # that turns positions into orders also validates them.
+            orders = _scatter_positions(position_matrix)
+            if orders is None:
+                expected = np.arange(n, dtype=np.int64)
                 bad = int(
                     np.flatnonzero(
                         (np.sort(position_matrix, axis=1) != expected).any(axis=1)
@@ -165,14 +265,12 @@ class RankingSet:
                 raise RankingError(
                     f"row {bad} of the position matrix is not a permutation of 0..{n - 1}"
                 )
-        # Scatter positions -> orders: order[r, positions[r, c]] = c.
-        orders = np.empty((m, n), dtype=np.int64)
-        orders[np.arange(m)[:, None], position_matrix] = np.arange(n, dtype=np.int64)
-        rankings = [Ranking(orders[r], validate=False) for r in range(m)]
-        ranking_set = cls(rankings, labels=labels, weights=weights)
-        position_matrix.setflags(write=False)
-        ranking_set._position_cache = position_matrix
-        return ranking_set
+        else:
+            orders = np.empty((m, n), dtype=np.int64)
+            orders[np.arange(m)[:, np.newaxis], position_matrix] = np.arange(
+                n, dtype=np.int64
+            )
+        return cls._from_matrices(orders, position_matrix, labels, weights)
 
     @classmethod
     def from_score_columns(
@@ -199,21 +297,31 @@ class RankingSet:
     @property
     def n_rankings(self) -> int:
         """Number of base rankings ``|R|``."""
-        return len(self._rankings)
+        return self._orders.shape[0]
 
     def __len__(self) -> int:
-        return len(self._rankings)
+        return self._orders.shape[0]
 
     def __iter__(self) -> Iterator[Ranking]:
-        return iter(self._rankings)
+        return iter(self.rankings)
 
     def __getitem__(self, index: int) -> Ranking:
-        return self._rankings[index]
+        return self.rankings[index]
 
     @property
     def rankings(self) -> tuple[Ranking, ...]:
-        """The base rankings as a tuple."""
-        return self._rankings
+        """The base rankings as a tuple, built from the matrices on first use."""
+        if self._members is None:
+            self._members = tuple(
+                Ranking._from_arrays(order, positions)
+                for order, positions in zip(self._orders, self._positions)
+            )
+        return self._members
+
+    def order_matrix(self) -> np.ndarray:
+        """The read-only ``m x n`` order matrix: row ``r`` lists ranking
+        ``r``'s candidates from best to worst."""
+        return self._orders
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -240,7 +348,9 @@ class RankingSet:
 
     def with_weights(self, weights: Sequence[float]) -> "RankingSet":
         """Return a copy of this set with different per-ranking weights."""
-        return RankingSet(list(self._rankings), labels=self._labels, weights=weights)
+        return RankingSet._from_matrices(
+            self._orders, self._positions, self._labels, weights
+        )
 
     def label_of(self, index: int) -> str:
         """Return the label of ranking ``index``."""
@@ -374,19 +484,25 @@ class RankingSet:
         """Exact Kendall tau distance from ``ranking`` to every base ranking.
 
         One batched O(m n^2 / chunk) computation over the position matrix
-        instead of m separate merge sorts; the per-ranking counts are exact
-        integers.  This is the kernel behind
+        instead of m separate merge sorts.  Positions are compared in the
+        smallest unsigned type that holds ``n - 1``, as in
+        :meth:`precedence_matrix`, and each ranking's disagreements are
+        summed in int32 (int64 past n = 46,340); the counts are exact
+        integers either way.  This is the kernel behind
         :func:`repro.core.distances.kendall_tau_to_set`.
         """
-        if ranking.n_candidates != self._n:
+        n = self._n
+        if ranking.n_candidates != n:
             raise RankingError(
                 "ranking and ranking set cover different universes: "
-                f"{ranking.n_candidates} vs {self._n} candidates"
+                f"{ranking.n_candidates} vs {n} candidates"
             )
-        reference = ranking.positions
+        width = np.min_scalar_type(n - 1)
+        total = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        reference = ranking.positions.astype(width)
         reference_precedes = reference[:, np.newaxis] < reference[np.newaxis, :]
         distances = np.empty(self.n_rankings, dtype=np.int64)
-        for start, block in self._row_chunks(self.position_matrix()):
+        for start, block in self._row_chunks(self.position_matrix().astype(width)):
             precedes = block[:, :, np.newaxis] < block[:, np.newaxis, :]
             # In-place comparison keeps one k x n x n tensor live, honouring
             # the chunk byte budget.
@@ -395,7 +511,7 @@ class RankingSet:
             )
             # Each disagreeing unordered pair is counted at (a, b) and (b, a).
             distances[start : start + block.shape[0]] = (
-                disagreements.sum(axis=(1, 2)) // 2
+                disagreements.sum(axis=(1, 2), dtype=total) // 2
             )
         return distances
 
@@ -411,13 +527,11 @@ class RankingSet:
         """Return an ``m x n`` matrix of 0-based positions.
 
         Row ``i`` holds the positions of every candidate in base ranking
-        ``i``; used by positional methods such as Borda and footrule.
+        ``i``; used by positional methods such as Borda and footrule.  It is
+        scattered from the order matrix once, when the set is built
+        (read-only).
         """
-        if self._position_cache is None:
-            matrix = np.vstack([ranking.positions for ranking in self._rankings])
-            matrix.setflags(write=False)
-            self._position_cache = matrix
-        return self._position_cache
+        return self._positions
 
     def mean_positions(self) -> np.ndarray:
         """Return the average 0-based position of every candidate."""
@@ -480,13 +594,13 @@ class RankingSet:
     ) -> "RankingSet":
         """Return a new set with ``rankings`` appended, patching cached matrices.
 
-        The child's position matrix is the parent's with the new rows stacked
-        on, and every precedence/margin cache the parent had materialised is
-        patched by *adding* each new ranking's precedence contribution —
-        O(k n^2) work for k added rankings instead of the O(m n^2) rebuild.
-        This is the core update primitive of the streaming consensus engine
-        (:mod:`repro.streaming`); caches the parent never materialised stay
-        lazy on the child.
+        The child's order and position matrices are the parent's with the
+        new rows stacked on, and every precedence/margin cache the parent had
+        materialised is patched by *adding* each new ranking's precedence
+        contribution — O(k n^2) work for k added rankings instead of the
+        O(m n^2) rebuild.  This is the core update primitive of the
+        streaming consensus engine (:mod:`repro.streaming`); caches the
+        parent never materialised stay lazy on the child.
         """
         added = list(rankings)
         if not added:
@@ -505,16 +619,14 @@ class RankingSet:
                     f"weights must have one entry per added ranking; got shape "
                     f"{extra_weights.shape} for {len(added)} rankings"
                 )
-        child = RankingSet(
-            list(self._rankings) + added,
+        self._check_members(added, self, start=self.n_rankings)
+        added_positions = np.stack([ranking.positions for ranking in added])
+        child = RankingSet._from_matrices(
+            np.concatenate([self._orders, np.stack([r.order for r in added])]),
+            np.concatenate([self._positions, added_positions]),
             labels=list(self._labels) + extra_labels,
             weights=np.concatenate([self._weights, extra_weights]),
         )
-        added_positions = np.vstack([ranking.positions for ranking in added])
-        if self._position_cache is not None:
-            position_matrix = np.vstack([self._position_cache, added_positions])
-            position_matrix.setflags(write=False)
-            child._position_cache = position_matrix
         child._precedence_cache = self._patched_precedence(
             self._precedence_cache, added_positions, None, sign=1.0
         )
@@ -527,12 +639,13 @@ class RankingSet:
     def with_removed(self, indexes: Sequence[int]) -> "RankingSet":
         """Return a new set without the rankings at ``indexes``, patching caches.
 
-        The inverse of :meth:`with_added`: every cache the parent had
-        materialised is patched by *subtracting* the removed rankings'
-        precedence contributions (exact for unweighted sets and integer /
-        dyadic weights, where every entry is an exactly-representable sum).
-        Removing every ranking is rejected — a :class:`RankingSet` is never
-        empty; streaming callers represent the empty profile explicitly.
+        The inverse of :meth:`with_added`: the child keeps the other rows of
+        the matrices, and every cache the parent had materialised is patched
+        by *subtracting* the removed rankings' precedence contributions
+        (exact for unweighted sets and integer / dyadic weights, where every
+        entry is an exactly-representable sum).  Removing every ranking is
+        rejected — a :class:`RankingSet` is never empty; streaming callers
+        represent the empty profile explicitly.
         """
         removal = sorted(set(int(index) for index in indexes))
         if not removal:
@@ -542,23 +655,18 @@ class RankingSet:
                 raise RankingError(
                     f"ranking index {index} out of range for {self.n_rankings} rankings"
                 )
-        removal_set = set(removal)
-        keep = [i for i in range(self.n_rankings) if i not in removal_set]
-        if not keep:
+        keep = np.ones(self.n_rankings, dtype=bool)
+        keep[removal] = False
+        if not keep.any():
             raise RankingError("cannot remove every ranking from a set")
-        child = RankingSet(
-            [self._rankings[i] for i in keep],
-            labels=[self._labels[i] for i in keep],
+        child = RankingSet._from_matrices(
+            self._orders[keep],
+            self._positions[keep],
+            labels=[label for label, kept in zip(self._labels, keep) if kept],
             weights=self._weights[keep],
         )
-        removed_positions = np.vstack(
-            [self._rankings[i].positions for i in removal]
-        )
+        removed_positions = self._positions[removal]
         removed_weights = self._weights[removal]
-        if self._position_cache is not None:
-            position_matrix = self._position_cache[keep]
-            position_matrix.setflags(write=False)
-            child._position_cache = position_matrix
         child._precedence_cache = self._patched_precedence(
             self._precedence_cache, removed_positions, None, sign=-1.0
         )
@@ -573,18 +681,19 @@ class RankingSet:
     # ------------------------------------------------------------------
     def subset(self, indexes: Sequence[int]) -> "RankingSet":
         """Return a new set containing only the rankings at ``indexes``."""
-        indexes = list(indexes)
-        if not indexes:
+        rows = [int(index) for index in indexes]
+        if not rows:
             raise RankingError("cannot build an empty ranking subset")
-        return RankingSet(
-            [self._rankings[i] for i in indexes],
-            labels=[self._labels[i] for i in indexes],
-            weights=[float(self._weights[i]) for i in indexes],
+        return RankingSet._from_matrices(
+            self._orders[rows],
+            self._positions[rows],
+            labels=[self._labels[i] for i in rows],
+            weights=self._weights[rows],
         )
 
     def to_order_lists(self) -> list[list[int]]:
         """Return the base rankings as plain lists of candidate ids."""
-        return [ranking.to_list() for ranking in self._rankings]
+        return self._orders.tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

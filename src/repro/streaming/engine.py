@@ -70,6 +70,11 @@ def _coerce_ranking(order: Ranking | Sequence[int], n_candidates: int) -> Rankin
     return ranking
 
 
+def _order_matrix(rankings: Sequence[Ranking]) -> np.ndarray:
+    """The ``k x n`` order matrix of a batch of rankings."""
+    return np.stack([ranking.order for ranking in rankings])
+
+
 class StreamingConsensusEngine:
     """Mutable ranking profile with incremental matrices and warm-started repair.
 
@@ -130,7 +135,9 @@ class StreamingConsensusEngine:
                     f"{rankings.n_candidates} vs {table.n_candidates} candidates"
                 )
             self._set = rankings
-            self._tokens = sorted(profile_tokens(rankings.rankings, rankings.weights))
+            self._tokens = sorted(
+                profile_tokens(rankings.order_matrix(), rankings.weights)
+            )
 
     # ------------------------------------------------------------------
     # profile state
@@ -229,7 +236,7 @@ class StreamingConsensusEngine:
             self._set = self._set.with_added(
                 added, labels=labels, weights=batch_weights
             )
-        for token in profile_tokens(added, batch_weights):
+        for token in profile_tokens(_order_matrix(added), batch_weights):
             bisect.insort(self._tokens, token)
         self._version += 1
         return self._version
@@ -285,7 +292,7 @@ class StreamingConsensusEngine:
             self._set = None
         else:
             self._set = self._set.with_removed(chosen)
-        for token in profile_tokens(targets, batch_weights):
+        for token in profile_tokens(_order_matrix(targets), batch_weights):
             self._tokens.pop(bisect.bisect_left(self._tokens, token))
         self._version += 1
         return self._version

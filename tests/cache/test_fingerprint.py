@@ -74,7 +74,7 @@ class TestRankingSetFingerprint:
     @pytest.mark.parametrize(("n", "width"), [(2, 1), (256, 1), (257, 2), (300, 2)])
     def test_token_is_the_narrow_order_then_the_weight(self, n, width):
         order = list(range(n))[::-1]
-        (token,) = profile_tokens([Ranking(order)], [2.5])
+        (token,) = profile_tokens(np.array([order]), [2.5])
         assert len(token) == n * width + 8
         assert np.array_equal(np.frombuffer(token[: n * width], dtype=f"<u{width}"), order)
         assert np.frombuffer(token[n * width :], dtype="<f8")[0] == 2.5

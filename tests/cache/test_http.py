@@ -543,3 +543,120 @@ class TestBodyMemo:
         assert stats["server"]["body_memo"]["coalesced"] == 1
         assert stats["cache"]["hits"] == 1
         assert stats["cache"]["hits"] + stats["cache"]["misses"] == 2
+
+
+class TestIngest:
+    """Which path an inline body took, and what both paths answer."""
+
+    def test_an_inline_body_takes_the_array_path(self, query_body, tiny_table, tiny_rankings):
+        cold = compute_consensus_payload(tiny_rankings, tiny_table, delta=DELTA)
+
+        async def scenario(host, port):
+            first = await http_request(host, port, "POST", "/aggregate", query_body)
+            second = await http_request(host, port, "POST", "/aggregate", query_body)
+            return first, second, await stats_of(host, port)
+
+        (first, second, (_, stats)), _ = with_server(scenario)
+        assert first[1]["result"] == cold
+        assert first[1]["key"] == cache_key(tiny_rankings, tiny_table, delta=DELTA).digest
+        assert second[1]["cached"] is True
+        # The repeat was a memo hit: no ingest at all.
+        assert stats["server"]["ingest"] == {"array": 1, "fallback": 0}
+
+    def test_a_declined_body_is_decoded_whole_with_the_same_answer(
+        self, query_body, tiny_table, tiny_rankings
+    ):
+        cold = compute_consensus_payload(tiny_rankings, tiny_table, delta=DELTA)
+        # A look-alike "orders" before the real one: the cut declines on the loop.
+        look_alike = {"meta": {"orders": [[1, 0]]}, **query_body}
+        # A negative id: the parse declines on the lookup thread.
+        negative = {**query_body, "rankings": {"orders": [[0, 1], [1, -1]]}}
+
+        async def scenario(host, port):
+            answers = [
+                await http_request(host, port, "POST", path, body)
+                for path, body in (
+                    ("/aggregate", look_alike),
+                    ("/fairness", negative),
+                    ("/aggregate", query_body),
+                )
+            ]
+            return answers, await stats_of(host, port)
+
+        (answers, (_, stats)), _ = with_server(scenario)
+        (status, payload), (bad_status, bad), (_, array) = answers
+        assert status == 200 and payload["result"] == cold
+        assert array["key"] == payload["key"] and array["cached"] is True
+        assert bad_status == 400
+        assert bad["error"] == (
+            "ranking must contain candidate ids 0..n-1; got values in [-1, 1] for n=2"
+        )
+        assert stats["server"]["ingest"] == {"array": 1, "fallback": 2}
+
+    def test_csv_bodies_count_toward_neither_path(self, tmp_path, tiny_table, tiny_rankings):
+        candidates_csv = tmp_path / "candidates.csv"
+        rankings_csv = tmp_path / "rankings.csv"
+        write_candidate_table(tiny_table, candidates_csv)
+        write_ranking_set(tiny_rankings, tiny_table, rankings_csv)
+        body = {
+            "rankings_csv": str(rankings_csv),
+            "candidates_csv": str(candidates_csv),
+            "delta": DELTA,
+        }
+        # Inline orders next to CSV paths are cut, but the CSV files win.
+        with_orders = {**body, "rankings": {"orders": [[0, 1], [1, 0]]}}
+
+        async def scenario(host, port):
+            first = await http_request(host, port, "POST", "/aggregate", body)
+            second = await http_request(host, port, "POST", "/aggregate", with_orders)
+            return first, second, await stats_of(host, port)
+
+        (first, second, (_, stats)), _ = with_server(scenario)
+        assert first[0] == second[0] == 200
+        assert second[1]["key"] == first[1]["key"]
+        assert stats["server"]["ingest"] == {"array": 0, "fallback": 0}
+
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            [[0, 100000000000000000000], [1, 0]],
+            5,
+            [[1.7, 0.2], [0.2, 1.7]],
+            [["1", "0"], ["0", "1"]],
+            [[True, False], [False, True]],
+        ],
+        ids=["past-64-bits", "a-number", "floats", "strings", "booleans"],
+    )
+    def test_orders_that_are_not_integer_lists_are_400(self, orders, query_body):
+        body = {**query_body, "rankings": {"orders": orders}}
+
+        async def scenario(host, port):
+            answer = await http_request(host, port, "POST", "/aggregate", body)
+            return answer, await stats_of(host, port)
+
+        ((status, payload), (_, stats)), _ = with_server(scenario)
+        assert status == 400
+        assert "500" not in stats["server"]["responses_by_status"]
+        if orders == 5 or isinstance(orders[0][0], (float, str, bool)):
+            assert payload["error"] == (
+                "ranking set 'orders' must be a list of lists of integer candidate ids"
+            )
+        else:
+            assert payload["error"].startswith("ranking must contain candidate ids 0..n-1")
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_non_finite_weights_are_400(self, weight, query_body):
+        rankings = query_body["rankings"]
+        weights = ", ".join([weight] + ["1.0"] * (len(rankings["orders"]) - 1))
+        raw = (
+            '{"rankings": {"orders": ' + json.dumps(rankings["orders"])
+            + ', "weights": [' + weights + ']}, "candidates": '
+            + json.dumps(query_body["candidates"]) + ', "delta": 0.35}'
+        ).encode()
+
+        async def scenario(host, port):
+            return await raw_request(host, port, "POST", "/aggregate", raw)
+
+        (status, payload), _ = with_server(scenario)
+        assert status == 400
+        assert payload["error"] == "ranking weights must be finite"

@@ -10,13 +10,17 @@ time; blocking-compute scenarios hold requests in flight with
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.cache.http import ConsensusHTTPServer
 from repro.cache.resilience import ServerLimits
 from repro.cache.service import ConsensusCacheService, compute_consensus_payload
+from repro.datagen.attributes import scalability_table
 from repro.io.serialization import candidate_table_to_dict, ranking_set_to_dict
 from tests.cache.faults import (
     GateService,
@@ -315,6 +319,58 @@ class TestLiveness:
         assert health[0] == 200
         assert query[0] == 200
         assert query[2]["cached"] is False
+
+    def test_healthz_answers_within_50_ms_while_a_10_mib_body_is_parsed(
+        self, monkeypatch
+    ):
+        import repro.cache.http as http_module
+
+        n = 100
+        table = scalability_table(n, rng=3)
+        rng = np.random.default_rng(3)
+        rows = [json.dumps(rng.permutation(n).tolist()) for _ in range(64)]
+        count = (10 << 20) // (sum(map(len, rows)) // len(rows) + 2) + 1
+        raw = (
+            '{"rankings": {"orders": ['
+            + ", ".join(rows[index % len(rows)] for index in range(count))
+            + ']}, "candidates": '
+            + json.dumps(candidate_table_to_dict(table))
+            + ', "delta": 0.35}'
+        ).encode()
+        assert len(raw) >= 10 << 20
+        request = f"POST /aggregate HTTP/1.1\r\nContent-Length: {len(raw)}\r\n\r\n"
+
+        real_parse = http_module.parse_orders
+        parsing = threading.Event()
+        span = {}
+
+        def timed_parse(text):
+            span["start"] = time.perf_counter()
+            parsing.set()
+            try:
+                return real_parse(text)
+            finally:
+                span["end"] = time.perf_counter()
+
+        monkeypatch.setattr(http_module, "parse_orders", timed_parse)
+        service = GateService()
+        service.gate.set()  # the compute answers at once; the parse is what is timed
+
+        async def scenario(server, host, port):
+            loop = asyncio.get_running_loop()
+            query = asyncio.create_task(send_raw(host, port, request.encode() + raw))
+            assert await loop.run_in_executor(None, parsing.wait, 30)
+            asked = time.perf_counter()
+            health = await http_request(host, port, "GET", "/healthz")
+            answered = time.perf_counter()
+            await query
+            return health, asked, answered, await http_request(host, port, "GET", "/stats")
+
+        (health, asked, answered, stats), _ = run_scenario(scenario, service=service)
+        assert health[0] == 200
+        assert answered - asked < 0.05
+        assert answered < span["end"]  # answered while the body was being parsed
+        assert stats[2]["server"]["ingest"] == {"array": 1, "fallback": 0}
 
 
 class TestGracefulDrain:

@@ -43,6 +43,10 @@ class TestConstruction:
         with pytest.raises(RankingError):
             Ranking([0, 1, 3])
 
+    def test_id_past_64_bits_is_a_ranking_error(self):
+        with pytest.raises(RankingError, match=r"got values in \[0, 100000000000000000000\]"):
+            Ranking([0, 10**20])
+
     def test_negative_candidate_rejected(self):
         with pytest.raises(RankingError):
             Ranking([0, -1, 1])

@@ -51,6 +51,23 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             RankingSet([ranking], weights=[1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected_by_every_constructor(self, bad):
+        # NaN passes both the sign and the positive-sum checks, and one NaN
+        # weight used to turn every weighted precedence entry into NaN.
+        with pytest.raises(ValidationError, match="finite"):
+            RankingSet([Ranking([0, 1]), Ranking([1, 0])], weights=[bad, 1.0])
+        with pytest.raises(ValidationError, match="finite"):
+            RankingSet.from_orders([[0, 1], [1, 0]], weights=[bad, 1.0])
+        with pytest.raises(ValidationError, match="finite"):
+            RankingSet.from_position_matrix(np.array([[0, 1], [1, 0]]), weights=[1.0, bad])
+        with pytest.raises(ValidationError, match="finite"):
+            RankingSet.from_orders([[0, 1]]).with_added([Ranking([1, 0])], weights=[bad])
+
+    def test_negative_infinity_keeps_the_sign_message(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            RankingSet.from_orders([[0, 1]], weights=[float("-inf")])
+
     def test_from_score_columns(self):
         rankings = RankingSet.from_score_columns(
             {"math": [1.0, 3.0, 2.0], "reading": [3.0, 2.0, 1.0]}
@@ -61,6 +78,100 @@ class TestConstruction:
 
     def test_iteration_and_indexing(self, tiny_rankings):
         assert list(tiny_rankings)[0] == tiny_rankings[0]
+
+
+class TestMatrixFirst:
+    def test_rectangular_orders_build_no_members(self):
+        rankings = RankingSet.from_orders([[0, 2, 1], [2, 1, 0]])
+        assert rankings._members is None
+        assert rankings.n_rankings == len(rankings) == 2
+        assert rankings.to_order_lists() == [[0, 2, 1], [2, 1, 0]]
+        assert rankings.position_matrix().tolist() == [[0, 2, 1], [2, 1, 0]]
+        assert rankings._members is None
+        first = rankings[0]
+        assert first.to_list() == [0, 2, 1]
+        assert first.positions.tolist() == [0, 2, 1]
+        assert rankings[0] is first  # built once, on first use
+        assert list(rankings) == [Ranking([0, 2, 1]), Ranking([2, 1, 0])]
+
+    def test_matrices_are_read_only_and_inverse(self, rng):
+        orders = np.vstack([rng.permutation(9) for _ in range(6)])
+        rankings = RankingSet.from_orders(orders)
+        assert not rankings.order_matrix().flags.writeable
+        assert not rankings.position_matrix().flags.writeable
+        rows = np.arange(6)[:, np.newaxis]
+        assert (rankings.position_matrix()[rows, rankings.order_matrix()] == np.arange(9)).all()
+        orders[0] = orders[1]  # the caller's array is not the set's
+        assert rankings.order_matrix()[0].tolist() != orders[1].tolist()
+
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            [[0, 1], [0, 0]],
+            [[0, 1], [1, 2]],
+            [[0, 1], [-1, 0]],
+            [[0, 1], [0]],
+            [[0, 1], []],
+            [[0, 10**20], [1, 0]],
+            [[0.0, 1.0], [1.0, 0.0]],
+        ],
+    )
+    def test_from_orders_keeps_the_per_ranking_outcome(self, orders):
+        def per_ranking():
+            return RankingSet([Ranking(order) for order in orders])
+
+        try:
+            expected = per_ranking()
+        except RankingError as exc:
+            with pytest.raises(RankingError) as raised:
+                RankingSet.from_orders(orders)
+            assert str(raised.value) == str(exc)
+        else:
+            built = RankingSet.from_orders(orders)
+            assert built.to_order_lists() == expected.to_order_lists()
+
+    def test_streaming_children_stack_and_slice_the_matrices(self, rng):
+        base = RankingSet.from_orders(
+            np.vstack([rng.permutation(7) for _ in range(5)]), weights=[1, 2, 3, 4, 5]
+        )
+        extra = [Ranking.random(7, rng) for _ in range(2)]
+        added = base.with_added(extra, weights=[6.0, 7.0])
+        assert added._members is None and base._members is None
+        expected = np.vstack([base.order_matrix(), [r.order for r in extra]])
+        assert np.array_equal(added.order_matrix(), expected)
+        assert np.array_equal(
+            added.position_matrix(),
+            np.vstack([base.position_matrix(), [r.positions for r in extra]]),
+        )
+        removed = added.with_removed([0, 5])
+        assert np.array_equal(removed.order_matrix(), expected[[1, 2, 3, 4, 6]])
+        assert removed.weights.tolist() == [2.0, 3.0, 4.0, 5.0, 7.0]
+        subset = added.subset([6, 0])
+        assert np.array_equal(subset.order_matrix(), expected[[6, 0]])
+        assert subset.labels == ("r7", "r1") and subset.weights.tolist() == [7.0, 1.0]
+        assert removed._members is None and subset._members is None
+
+    def test_with_added_checks_members_like_the_constructor(self, tiny_rankings):
+        with pytest.raises(RankingError, match="ranking 3 has 2"):
+            tiny_rankings.with_added([Ranking([0, 1])])
+        with pytest.raises(RankingError, match="item 3 is not a Ranking"):
+            tiny_rankings.with_added([[0, 1, 2, 3, 4, 5]])  # type: ignore[list-item]
+
+
+class TestKendallTauVector:
+    @pytest.mark.parametrize("n", [200, 300])  # 300 is past the uint8 positions
+    def test_narrow_kernel_matches_per_ranking_kendall_tau(self, n):
+        from repro.core.distances import kendall_tau
+
+        rng = np.random.default_rng(n)
+        rankings = RankingSet([Ranking.random(n, rng) for _ in range(60)])
+        reference = Ranking.random(n, rng)
+        expected = [kendall_tau(reference, base) for base in rankings]
+        distances = rankings.kendall_tau_vector(reference)
+        assert distances.dtype == np.int64
+        assert distances.tolist() == expected
+        # The reversed ranking disagrees on every pair.
+        assert rankings.kendall_tau_vector(rankings[0].reversed())[0] == n * (n - 1) // 2
 
 
 class TestPrecedenceMatrix:

@@ -45,6 +45,42 @@ class TestToJsonable:
             assert to_jsonable(value) is value
 
 
+class TestRankingSetOrders:
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            5,
+            "[[0, 1]]",
+            None,
+            [0, 1],
+            [[1.7, 0.2], [0.2, 1.7]],
+            [[0.0, 1.0]],
+            [["1", "0"]],
+            [[True, False]],
+            [[[0], [1]]],
+            {"0": [0, 1]},
+            np.array([[0.0, 1.0]]),
+        ],
+    )
+    def test_orders_that_are_not_integer_lists_are_rejected(self, orders):
+        with pytest.raises(ValidationError, match="list of lists of integer"):
+            ranking_set_from_dict({"orders": orders})
+
+    def test_an_id_past_64_bits_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="candidate ids 0..n-1"):
+            ranking_set_from_dict({"orders": [[0, 10**20], [1, 0]]})
+
+    def test_integer_matrix_and_lists_build_the_same_set(self):
+        orders = [[2, 0, 1], [0, 1, 2]]
+        payload = {"labels": ["a", "b"], "weights": [0.5, 2.0]}
+        from_lists = ranking_set_from_dict({**payload, "orders": orders})
+        from_matrix = ranking_set_from_dict({**payload, "orders": np.array(orders)})
+        for built in (from_lists, from_matrix):
+            assert built.to_order_lists() == orders
+            assert built.labels == ("a", "b")
+            assert built.weights.tolist() == [0.5, 2.0]
+
+
 class TestRoundTrips:
     def test_ranking_round_trip(self):
         ranking = Ranking([2, 0, 1])
